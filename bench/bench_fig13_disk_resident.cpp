@@ -121,8 +121,12 @@ int main() {
     IndexJoinOptions cpu_options;
     auto cpu_source = OpenOrDie(path);
     Timer t_cpu;
-    auto cpu = IndexJoinCpu(*cpu_source, polys, cpu_index.value(),
-                            cpu_options, 1);
+    auto cpu = IndexJoinCpu(
+        *cpu_source,
+        SelectBlocks(*cpu_source, {cpu_options.filters},
+                     &cpu_index.value().extent(), true)
+            .blocks,
+        polys, cpu_index.value(), cpu_options, 1);
     if (!cpu.ok()) return 1;
     const double cpu_ms = t_cpu.ElapsedMillis();
     auto cpu_mem = IndexJoinCpu(rows, polys, cpu_index.value(), cpu_options, 1);
@@ -135,8 +139,10 @@ int main() {
     acc_options.canvas_dim = 2048;
     auto acc_source = OpenOrDie(path);
     Timer t_acc;
-    auto acc = AccurateRasterJoin(&dev_acc, *acc_source, polys, soup, world,
-                                  acc_options);
+    auto acc = AccurateRasterJoin(
+        &dev_acc, *acc_source,
+        SelectBlocks(*acc_source, {acc_options.filters}, &world, true).blocks,
+        polys, soup, world, acc_options);
     if (!acc.ok()) return 1;
     const double acc_ms = t_acc.ElapsedMillis();
     const double acc_mbps = ScanMbPerSec(*acc_source, acc.value());
@@ -152,8 +158,10 @@ int main() {
     bnd_options.epsilon = kEps;
     auto bnd_source = OpenOrDie(path);
     Timer t_bnd;
-    auto bnd = BoundedRasterJoin(&dev_bnd, *bnd_source, polys, soup, world,
-                                 bnd_options);
+    auto bnd = BoundedRasterJoin(
+        &dev_bnd, *bnd_source,
+        SelectBlocks(*bnd_source, {bnd_options.filters}, &world, true).blocks,
+        polys, soup, world, bnd_options);
     if (!bnd.ok()) return 1;
     const double bnd_ms = t_bnd.ElapsedMillis();
     const double bnd_mbps = ScanMbPerSec(*bnd_source, bnd.value());
@@ -214,29 +222,30 @@ int main() {
     BoundedRasterJoinOptions options;
     options.epsilon = kEps;
 
-    options.enable_block_pruning = false;
     auto off_source = OpenOrDie(path);
     gpu::Device dev_off(PaperDeviceOptions(8ull << 20, 2048));
     Timer t_off;
-    auto off = BoundedRasterJoin(&dev_off, *off_source, region_polys.value(),
-                                 region_soup.value(), canvas, options);
+    auto off = BoundedRasterJoin(&dev_off, *off_source, AllBlocks(*off_source),
+                                 region_polys.value(), region_soup.value(),
+                                 canvas, options);
     if (!off.ok()) return 1;
     const double off_ms = t_off.ElapsedMillis();
 
-    options.enable_block_pruning = true;
     auto on_source = OpenOrDie(path);
     gpu::Device dev_on(PaperDeviceOptions(8ull << 20, 2048));
-    BoundedRasterJoinStats stats;
     Timer t_on;
-    auto on = BoundedRasterJoin(&dev_on, *on_source, region_polys.value(),
-                                region_soup.value(), canvas, options, &stats);
+    const BlockSelection sel =
+        SelectBlocks(*on_source, {options.filters}, &canvas, true);
+    auto on = BoundedRasterJoin(&dev_on, *on_source, sel.blocks,
+                                region_polys.value(), region_soup.value(),
+                                canvas, options);
     if (!on.ok()) return 1;
     const double on_ms = t_on.ElapsedMillis();
 
     // The determinism gate: pruning may only skip provably-empty blocks.
     diverged |= !Identical(off.value().arrays, on.value().arrays);
 
-    const double pruned_pct = 100.0 * static_cast<double>(stats.blocks_pruned) /
+    const double pruned_pct = 100.0 * static_cast<double>(sel.pruned) /
                               static_cast<double>(on_source->num_blocks());
     char label[32];
     std::snprintf(label, sizeof(label), "%.3gx%.3g", frac, frac);
@@ -249,7 +258,7 @@ int main() {
         .Field("points", n_prune)
         .Field("canvas_fraction", frac * frac)
         .Field("num_blocks", on_source->num_blocks())
-        .Field("blocks_pruned", stats.blocks_pruned)
+        .Field("blocks_pruned", sel.pruned)
         .Field("pruned_pct", pruned_pct)
         .Field("bytes_read_off", static_cast<std::size_t>(off_source->bytes_read()))
         .Field("bytes_read_on", static_cast<std::size_t>(on_source->bytes_read()))

@@ -13,15 +13,18 @@ namespace rj {
 
 namespace {
 
-Status ValidateMembers(const PointTable& points, const PolygonSet& polys,
+Status ValidateMembers(const data::PointBlockSource& source,
+                       const PolygonSet& polys,
                        const std::vector<FusedMemberSpec>& members) {
   if (members.empty()) {
     return Status::InvalidArgument("fusion group is empty");
   }
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   for (const FusedMemberSpec& member : members) {
-    RJ_RETURN_NOT_OK(ValidateWeightColumn(points, member.weight_column));
-    RJ_RETURN_NOT_OK(ValidateFilters(points, member.filters));
+    RJ_RETURN_NOT_OK(ValidateWeightColumnCount(source.num_attributes(),
+                                               member.weight_column));
+    RJ_RETURN_NOT_OK(
+        ValidateFiltersCount(source.num_attributes(), member.filters));
   }
   return Status::OK();
 }
@@ -45,11 +48,12 @@ std::vector<std::size_t> FusedUploadColumns(
 }
 
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members) {
-  RJ_RETURN_NOT_OK(ValidateMembers(points, polys, members));
+  RJ_RETURN_NOT_OK(ValidateMembers(source, polys, members));
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
@@ -73,23 +77,14 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   }
 
   const std::vector<std::size_t> columns = FusedUploadColumns(members);
-  const std::size_t bytes_per_point = UploadStrideBytes(columns);
-
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
-  }
 
   // One triangle VBO for the whole group: Step II reads the same
   // triangulation for every member (see BoundedRasterJoin on why it ships
   // exactly once per execution).
   RJ_RETURN_NOT_OK(UploadTriangleVbo(device, soup.size(), &out.timing));
 
-  join::BatchPipeline pipeline(device, &points, columns, batch, {overlap});
+  join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
+                               {options.overlap_transfers});
 
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const raster::CanvasTile& tile = tiles[t];
@@ -115,9 +110,16 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       if (!view.has_value()) break;
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
-        PointTable slice = points.Slice(view->begin, view->end);
-        raster::DrawPointsMulti(vp, slice, targets, &device->counters(),
-                                &device->pool());
+        const PointTable& rows = *view->rows;
+        if (view->begin == 0 && view->end == rows.size()) {
+          // Whole-table/whole-block batch: draw in place, no slice copy.
+          raster::DrawPointsMulti(vp, rows, targets, &device->counters(),
+                                  &device->pool());
+        } else {
+          raster::DrawPointsMulti(vp, rows.Slice(view->begin, view->end),
+                                  targets, &device->counters(),
+                                  &device->pool());
+        }
       }
       pipeline.Release(*view);
       device->counters().AddBatches(1);
@@ -155,11 +157,12 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 }
 
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members) {
-  RJ_RETURN_NOT_OK(ValidateMembers(points, polys, members));
+  RJ_RETURN_NOT_OK(ValidateMembers(source, polys, members));
   for (const FusedMemberSpec& member : members) {
     if (member.compute_result_ranges || member.export_point_fbo) {
       return Status::NotImplemented(
@@ -204,37 +207,30 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
 
   std::vector<raster::FboLease> point_leases;
   point_leases.reserve(m);
-  std::vector<const std::vector<float>*> weights(m, nullptr);
   for (std::size_t i = 0; i < m; ++i) {
     point_leases.push_back(raster::FboPool::Shared().Acquire(dim, dim));
-    if (members[i].weight_column != PointTable::npos) {
-      weights[i] = &points.attribute(members[i].weight_column);
-    }
-  }
-
-  const std::vector<std::size_t> columns = FusedUploadColumns(members);
-  const std::size_t bytes_per_point = UploadStrideBytes(columns);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
-    const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
   }
 
   std::uint64_t worker_pips = 0;
   const std::size_t pip_before = GetThreadPipTestCount();
 
   // --- Step 2: one shared scan (Procedure AccuratePoints, fused). --------
-  join::BatchPipeline upload_pipeline(device, &points, columns, batch,
-                                      {overlap});
+  join::BatchPipeline upload_pipeline(device, &source, std::move(scan),
+                                      FusedUploadColumns(members),
+                                      {options.overlap_transfers});
+  std::vector<const std::vector<float>*> weights(m, nullptr);
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
     if (!view.has_value()) break;
+    const PointTable& points = *view->rows;
     const std::size_t begin = view->begin;
     const std::size_t end = view->end;
+    for (std::size_t t = 0; t < m; ++t) {
+      if (members[t].weight_column != PointTable::npos) {
+        weights[t] = &points.attribute(members[t].weight_column);
+      }
+    }
 
     ScopedPhase sp(&out.timing, phase::kProcessing);
 

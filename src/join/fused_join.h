@@ -66,9 +66,6 @@ struct FusedJoinOptions {
   /// Grid-index resolution for boundary points (accurate variant).
   std::int32_t index_resolution = 1024;
 
-  /// Maximum points per device batch (0 = derive from memory budget).
-  std::size_t batch_size = 0;
-
   /// Prefetch batch b+1 while batch b draws (join::BatchPipeline).
   bool overlap_transfers = true;
 };
@@ -90,11 +87,14 @@ struct FusedJoinOutput {
 std::vector<std::size_t> FusedUploadColumns(
     const std::vector<FusedMemberSpec>& members);
 
-/// Bounded raster join (§4.1–4.2) for a fusion group: one triangle-VBO
-/// upload, one BatchPipeline scan, one DrawPointsMulti per tile/batch, then
-/// a per-member DrawPolygons + optional §5 ranges.
+/// Bounded raster join (§4.1–4.2) for a fusion group over blocks `scan`
+/// of `source` (ascending ordinals; one device batch per block, as in the
+/// unfused block-source joins): one triangle-VBO upload, one BatchPipeline
+/// scan, one DrawPointsMulti per tile/batch, then a per-member
+/// DrawPolygons + optional §5 ranges.
 Result<FusedJoinOutput> FusedBoundedRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members);
@@ -104,9 +104,11 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 /// containing polygons are resolved once and accumulated into every
 /// matching member. PIP tests are metered once per boundary point (not per
 /// member) — shared work is the point of fusion; the diagnostic counter
-/// reflects tests actually executed.
+/// reflects tests actually executed. Scans blocks `scan` of `source` like
+/// FusedBoundedRasterJoin.
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
-    gpu::Device* device, const PointTable& points, const PolygonSet& polys,
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members);

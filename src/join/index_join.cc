@@ -46,15 +46,13 @@ void JoinPointRange(const Rows& points, const PolygonSet& polys,
   }
 }
 
-/// The one device-flavour execution core both public overloads reach (see
-/// raster_join_bounded.cc for the pattern).
-Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
-                                        const data::PointBlockSource& source,
-                                        std::vector<std::size_t> scan,
-                                        const PolygonSet& polys,
-                                        const BBox& world,
-                                        const IndexJoinOptions& options,
-                                        bool overlap) {
+}  // namespace
+
+Result<JoinResult> IndexJoinDevice(gpu::Device* device,
+                                   const data::PointBlockSource& source,
+                                   std::vector<std::size_t> scan,
+                                   const PolygonSet& polys, const BBox& world,
+                                   const IndexJoinOptions& options) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
       ValidateWeightColumnCount(source.num_attributes(),
@@ -92,7 +90,7 @@ Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
   std::uint64_t worker_pips = 0;
   const std::size_t pip_before = GetThreadPipTestCount();
   join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
-                               {overlap});
+                               {options.overlap_transfers});
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         pipeline.Acquire());
@@ -138,42 +136,25 @@ Result<JoinResult> IndexDeviceBlockJoin(gpu::Device* device,
   return result;
 }
 
-}  // namespace
-
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const PointTable& points,
                                    const PolygonSet& polys, const BBox& world,
                                    const IndexJoinOptions& options) {
   const std::size_t bytes_per_point =
       UploadBytesPerPoint(options.filters, options.weight_column);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
+  IndexJoinOptions planned = options;
+  if (planned.batch_size == 0) {
     const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
+                                       points.size(),
+                                       options.overlap_transfers);
+    planned.batch_size = plan.batch_size;
+    planned.overlap_transfers = plan.overlap_transfers;
   }
 
-  data::TableBlockSource adapter(&points, std::max<std::size_t>(batch, 1));
-  std::vector<std::size_t> scan(adapter.num_blocks());
-  for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
-  return IndexDeviceBlockJoin(device, adapter, std::move(scan), polys, world,
-                              options, overlap);
-}
-
-Result<JoinResult> IndexJoinDevice(gpu::Device* device,
-                                   const data::PointBlockSource& source,
-                                   const PolygonSet& polys, const BBox& world,
-                                   const IndexJoinOptions& options) {
-  // Pruning against `world` is exact for this variant: the index is built
-  // over `world`, and Candidates yields nothing outside its extent.
-  BlockSelection sel = SelectBlocks(source, options.filters, &world,
-                                    options.enable_block_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  return IndexDeviceBlockJoin(device, source, std::move(sel.blocks), polys,
-                              world, options, options.overlap_transfers);
+  data::TableBlockSource adapter(&points,
+                                 std::max<std::size_t>(planned.batch_size, 1));
+  return IndexJoinDevice(device, adapter, AllBlocks(adapter), polys, world,
+                         planned);
 }
 
 Result<JoinResult> IndexJoinCpu(const PointTable& points,
@@ -212,10 +193,11 @@ Result<JoinResult> IndexJoinCpu(const PointTable& points,
 }
 
 Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
+                                const std::vector<std::size_t>& scan,
                                 const PolygonSet& polys,
                                 const GridIndex& index,
                                 const IndexJoinOptions& options,
-                                int num_threads, IndexJoinBlockStats* stats) {
+                                int num_threads) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
       ValidateWeightColumnCount(source.num_attributes(),
@@ -224,14 +206,6 @@ Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
       ValidateFiltersCount(source.num_attributes(), options.filters));
   if (num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
-  }
-
-  const BlockSelection sel = SelectBlocks(source, options.filters,
-                                          &index.extent(),
-                                          options.enable_block_pruning);
-  if (stats != nullptr) {
-    stats->blocks_scanned = sel.scanned;
-    stats->blocks_pruned = sel.pruned;
   }
 
   JoinResult result(polys.size());
@@ -244,7 +218,7 @@ Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
   std::optional<ThreadPool> pool;
   if (num_threads > 1) pool.emplace(static_cast<std::size_t>(num_threads));
   PointTable scratch;
-  for (const std::size_t b : sel.blocks) {
+  for (const std::size_t b : scan) {
     RJ_ASSIGN_OR_RETURN(data::BlockView view, source.ViewBlock(b, &scratch));
     if (pool.has_value()) {
       // Per-block merge in ascending worker order: deterministic for any

@@ -33,13 +33,6 @@ struct IndexJoinOptions {
   /// BoundedRasterJoinOptions.
   bool overlap_transfers = true;
 
-  /// Block-source executions only: zone-map pruning (see
-  /// BoundedRasterJoinOptions::enable_block_pruning). Exact here too: a
-  /// pruned block's points either fail the filters or fall outside the
-  /// index extent, where GridIndex::Candidates returns no candidates — so
-  /// both results *and* the pip_tests counter are unchanged by pruning.
-  bool enable_block_pruning = true;
-
   /// Device flavour only: a caller-cached index to use instead of the
   /// per-query build (Executor::GetDeviceIndex hoists the §6.2 rebuild out
   /// of repeated traffic). Must have been built with GridIndex::Build over
@@ -50,25 +43,10 @@ struct IndexJoinOptions {
   const GridIndex* prebuilt_index = nullptr;
 };
 
-/// Zone-map accounting of one block-source index join (the CPU flavour
-/// has no gpu::Counters to meter into).
-struct IndexJoinBlockStats {
-  std::size_t blocks_scanned = 0;
-  std::size_t blocks_pruned = 0;
-};
-
 /// Device (GPU-baseline) flavour; builds the index on the fly and meters
 /// transfers, mirroring IndexJoin of §6.2.
 Result<JoinResult> IndexJoinDevice(gpu::Device* device,
                                    const PointTable& points,
-                                   const PolygonSet& polys, const BBox& world,
-                                   const IndexJoinOptions& options);
-
-/// Block-source execution (see the BoundedRasterJoin overload): streams
-/// the zone-map-selected blocks; bitwise identical to the in-memory
-/// overload on the materialized source.
-Result<JoinResult> IndexJoinDevice(gpu::Device* device,
-                                   const data::PointBlockSource& source,
                                    const PolygonSet& polys, const BBox& world,
                                    const IndexJoinOptions& options);
 
@@ -81,15 +59,24 @@ Result<JoinResult> IndexJoinCpu(const PointTable& points,
                                 const IndexJoinOptions& options,
                                 int num_threads);
 
-/// CPU flavour over a block source: scans the zone-map-selected blocks
-/// one at a time (the working set is one block, not the table), pruning
-/// against the filters and the index extent. `stats` (optional) receives
-/// the scan/prune counts.
+/// Block-source forms: exactly blocks `scan` of `source` (ascending; see
+/// the bounded block-source overload), bitwise identical to the table
+/// forms on the materialized blocks. Pruning is exact here too: a pruned block's points either
+/// fail the filters or fall outside the index extent, where
+/// GridIndex::Candidates returns no candidates — so both results *and* the
+/// pip_tests counter are unchanged by it. The CPU flavour's working set is
+/// one block, not the table.
+Result<JoinResult> IndexJoinDevice(gpu::Device* device,
+                                   const data::PointBlockSource& source,
+                                   std::vector<std::size_t> scan,
+                                   const PolygonSet& polys, const BBox& world,
+                                   const IndexJoinOptions& options);
+
 Result<JoinResult> IndexJoinCpu(const data::PointBlockSource& source,
+                                const std::vector<std::size_t>& scan,
                                 const PolygonSet& polys,
                                 const GridIndex& index,
                                 const IndexJoinOptions& options,
-                                int num_threads,
-                                IndexJoinBlockStats* stats = nullptr);
+                                int num_threads);
 
 }  // namespace rj

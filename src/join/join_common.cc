@@ -32,8 +32,8 @@ std::vector<std::size_t> UploadColumns(const FilterSet& filters,
 }
 
 bool ZoneMapCanMatch(const data::BlockZoneMap& zone, const FilterSet& filters,
-                     const BBox* canvas_world) {
-  if (canvas_world != nullptr && !zone.bbox.Intersects(*canvas_world)) {
+                     const BBox* region) {
+  if (region != nullptr && !zone.bbox.Intersects(*region)) {
     return false;
   }
   for (const AttributeFilter& f : filters.filters()) {
@@ -56,16 +56,25 @@ bool ZoneMapCanMatch(const data::BlockZoneMap& zone, const FilterSet& filters,
   return true;
 }
 
+bool AnyZoneMapMatch(const data::BlockZoneMap& zone,
+                     const std::vector<FilterSet>& member_filters,
+                     const BBox* region) {
+  for (const FilterSet& filters : member_filters) {
+    if (ZoneMapCanMatch(zone, filters, region)) return true;
+  }
+  return false;
+}
+
 BlockSelection SelectBlocks(const data::PointBlockSource& source,
-                            const FilterSet& filters, const BBox* canvas_world,
-                            bool enable_pruning) {
+                            const std::vector<FilterSet>& member_filters,
+                            const BBox* region, bool enable_pruning) {
   BlockSelection sel;
   const std::size_t n = source.num_blocks();
   sel.blocks.reserve(n);
   for (std::size_t b = 0; b < n; ++b) {
     const data::BlockZoneMap* zone = source.zone_map(b);
     if (enable_pruning && zone != nullptr &&
-        !ZoneMapCanMatch(*zone, filters, canvas_world)) {
+        !AnyZoneMapMatch(*zone, member_filters, region)) {
       ++sel.pruned;
       continue;
     }
@@ -73,6 +82,12 @@ BlockSelection SelectBlocks(const data::PointBlockSource& source,
   }
   sel.scanned = sel.blocks.size();
   return sel;
+}
+
+std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source) {
+  std::vector<std::size_t> blocks(source.num_blocks());
+  for (std::size_t b = 0; b < blocks.size(); ++b) blocks[b] = b;
+  return blocks;
 }
 
 Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,

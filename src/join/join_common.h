@@ -151,20 +151,29 @@ inline Status ValidateFilters(const PointTable& points,
 }
 
 /// True when a block with zone map `zone` may contain rows that satisfy
-/// `filters` and fall inside `canvas_world` (pass nullptr to skip the
+/// `filters` and fall inside `region` (pass nullptr to skip the
 /// spatial test). Strictly conservative: every comparison keeps the block
 /// on ties and treats missing information (a filter column beyond the zone
 /// map's range list) as "may match", so pruning can only skip blocks whose
 /// rows provably contribute nothing — which is what keeps disk execution
 /// bitwise identical to a full scan. The bbox test is closed
 /// (BBox::Intersects), matching GridIndex's closed Contains and the raster
-/// variants' boundary clipping: a block touching the canvas edge is
+/// variants' boundary clipping: a block touching the region's edge is
 /// scanned, never pruned. Column ranges exclude NaN (NaN fails every
 /// FilterOp, so excluding it never prunes a matching row); an all-NaN
 /// column yields an empty range (min > max) that legitimately prunes under
 /// any filter on that column.
 bool ZoneMapCanMatch(const data::BlockZoneMap& zone, const FilterSet& filters,
-                     const BBox* canvas_world);
+                     const BBox* region);
+
+/// ZoneMapCanMatch for scans that share one pass (a fusion group, one
+/// member per filter set): true when some member may have rows under
+/// `zone` inside `region`. A block or shard is skipped only when no member
+/// can use it — the one pruning rule shared by Executor's shard routing
+/// and SelectBlocks.
+bool AnyZoneMapMatch(const data::BlockZoneMap& zone,
+                     const std::vector<FilterSet>& member_filters,
+                     const BBox* region);
 
 /// The scan list a block-source join executes: block ordinals that survive
 /// zone-map pruning, in ascending order, plus the counts the Counters
@@ -175,21 +184,24 @@ struct BlockSelection {
   std::size_t pruned = 0;
 };
 
-/// Selects the blocks of `source` worth scanning for a query with
-/// `filters` over `canvas_world` (nullptr: no spatial restriction).
-/// Blocks without zone maps are always scanned; `enable_pruning = false`
-/// selects everything (the A/B baseline the determinism tests compare
-/// against).
+/// Selects the blocks of `source` worth scanning for a pass serving
+/// `member_filters` over `region` (nullptr: no spatial restriction;
+/// Executor passes its per-query pruning region). Blocks without zone
+/// maps are always scanned; `enable_pruning = false` selects everything
+/// (the A/B baseline the determinism tests compare against).
 BlockSelection SelectBlocks(const data::PointBlockSource& source,
-                            const FilterSet& filters, const BBox* canvas_world,
-                            bool enable_pruning);
+                            const std::vector<FilterSet>& member_filters,
+                            const BBox* region, bool enable_pruning);
+
+/// Every block ordinal of `source`, ascending: the scan list of an
+/// unpruned scan.
+std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source);
 
 /// Ships and meters the bounded join's triangle VBO exactly once per
 /// query (allocate → zero-fill upload → free, timed under
-/// phase::kTransfer). Shared by BoundedRasterJoin and
-/// StreamingBoundedJoin::Finish so the two cannot drift in what they
-/// meter — TriangleVboBytes keeps them aligned with PlanAdmission's
-/// fixed_bytes.
+/// phase::kTransfer). Shared by the bounded joins, fused and unfused, so
+/// they cannot drift in what they meter — TriangleVboBytes keeps them
+/// aligned with PlanAdmission's fixed_bytes.
 Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,
                          PhaseTimer* timing);
 

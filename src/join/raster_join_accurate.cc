@@ -11,19 +11,14 @@
 
 namespace rj {
 
-namespace {
-
-/// The one execution core both public overloads reach (see
-/// raster_join_bounded.cc for the pattern): streams scan list `scan`
-/// through a BatchPipeline and runs Procedure AccuratePoints per batch
-/// over the batch's own row table, so in-memory and disk-resident inputs
-/// share one loop.
-Result<JoinResult> AccurateBlockJoin(
-    gpu::Device* device, const data::PointBlockSource& source,
-    std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const AccurateRasterJoinOptions& options, bool overlap,
-    AccurateRasterJoinStats* stats) {
+Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
+                                      const data::PointBlockSource& source,
+                                      std::vector<std::size_t> scan,
+                                      const PolygonSet& polys,
+                                      const TriangleSoup& soup,
+                                      const BBox& world,
+                                      const AccurateRasterJoinOptions& options,
+                                      AccurateRasterJoinStats* stats) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
       ValidateWeightColumnCount(source.num_attributes(),
@@ -84,7 +79,7 @@ Result<JoinResult> AccurateBlockJoin(
   // thread while this loop processes batch b (plus, for disk sources, the
   // reader thread materializing batch b+2).
   join::BatchPipeline upload_pipeline(device, &source, std::move(scan),
-                                      columns, {overlap});
+                                      columns, {options.overlap_transfers});
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
@@ -212,8 +207,6 @@ Result<JoinResult> AccurateBlockJoin(
   return result;
 }
 
-}  // namespace
-
 Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const PointTable& points,
                                       const PolygonSet& polys,
@@ -225,36 +218,19 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
   // covers the pipeline's in-flight buffers, 2 when transfers overlap).
   const std::size_t bytes_per_point =
       UploadBytesPerPoint(options.filters, options.weight_column);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
+  AccurateRasterJoinOptions planned = options;
+  if (planned.batch_size == 0) {
     const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
+                                       points.size(),
+                                       options.overlap_transfers);
+    planned.batch_size = plan.batch_size;
+    planned.overlap_transfers = plan.overlap_transfers;
   }
 
-  data::TableBlockSource adapter(&points, std::max<std::size_t>(batch, 1));
-  std::vector<std::size_t> scan(adapter.num_blocks());
-  for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
-  return AccurateBlockJoin(device, adapter, std::move(scan), polys, soup,
-                           world, options, overlap, stats);
-}
-
-Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
-                                      const data::PointBlockSource& source,
-                                      const PolygonSet& polys,
-                                      const TriangleSoup& soup,
-                                      const BBox& world,
-                                      const AccurateRasterJoinOptions& options,
-                                      AccurateRasterJoinStats* stats) {
-  BlockSelection sel = SelectBlocks(source, options.filters, &world,
-                                    options.enable_block_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  if (stats != nullptr) stats->blocks_pruned = sel.pruned;
-  return AccurateBlockJoin(device, source, std::move(sel.blocks), polys, soup,
-                           world, options, options.overlap_transfers, stats);
+  data::TableBlockSource adapter(&points,
+                                 std::max<std::size_t>(planned.batch_size, 1));
+  return AccurateRasterJoin(device, adapter, AllBlocks(adapter), polys, soup,
+                            world, planned, stats);
 }
 
 }  // namespace rj

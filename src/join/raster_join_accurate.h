@@ -37,10 +37,6 @@ struct AccurateRasterJoinOptions {
   /// Prefetch batch b+1 while batch b draws (join::BatchPipeline; two
   /// point VBOs in flight). See BoundedRasterJoinOptions.
   bool overlap_transfers = true;
-
-  /// Block-source executions only: zone-map pruning (see
-  /// BoundedRasterJoinOptions::enable_block_pruning).
-  bool enable_block_pruning = true;
 };
 
 struct AccurateRasterJoinStats {
@@ -48,7 +44,6 @@ struct AccurateRasterJoinStats {
   std::uint64_t interior_points = 0;  ///< points on the fast raster path
   std::uint64_t pip_tests = 0;        ///< exact tests actually executed
   std::size_t num_batches = 0;
-  std::size_t blocks_pruned = 0;      ///< block-source executions only
 };
 
 /// Executes the accurate raster join; results are exact (equal to
@@ -61,11 +56,12 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats = nullptr);
 
-/// Block-source execution (see the BoundedRasterJoin overload): streams
-/// the zone-map-selected blocks; bitwise identical to the in-memory
-/// overload on the materialized source.
+/// Block-source execution, the core the table overload reduces to: streams
+/// exactly blocks `scan` of `source` (ascending; see the bounded
+/// block-source overload).
 Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const data::PointBlockSource& source,
+                                      std::vector<std::size_t> scan,
                                       const PolygonSet& polys,
                                       const TriangleSoup& soup,
                                       const BBox& world,

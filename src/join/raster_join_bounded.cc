@@ -8,20 +8,16 @@
 
 namespace rj {
 
-namespace {
-
-/// The one execution core both public overloads reach: streams scan list
-/// `scan` (block ordinals into `source`) through a BatchPipeline, one
-/// device batch per block, for every canvas tile. The in-memory overload
-/// arrives here through a TableBlockSource whose blocks are exactly the
-/// planned batch slices, so both paths share one loop and cannot drift.
-Result<JoinResult> BoundedBlockJoin(
-    gpu::Device* device, const data::PointBlockSource& source,
-    std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const BoundedRasterJoinOptions& options, bool overlap,
-    BoundedRasterJoinStats* stats, ResultRanges* ranges_out,
-    std::optional<raster::Fbo>* point_fbo_out) {
+Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
+                                     const data::PointBlockSource& source,
+                                     std::vector<std::size_t> scan,
+                                     const PolygonSet& polys,
+                                     const TriangleSoup& soup,
+                                     const BBox& world,
+                                     const BoundedRasterJoinOptions& options,
+                                     BoundedRasterJoinStats* stats,
+                                     ResultRanges* ranges_out,
+                                     std::optional<raster::Fbo>* point_fbo_out) {
   RJ_RETURN_NOT_OK(ValidatePolygonIds(polys));
   RJ_RETURN_NOT_OK(
       ValidateWeightColumnCount(source.num_attributes(),
@@ -77,7 +73,7 @@ Result<JoinResult> BoundedBlockJoin(
   // paying a thread spawn and two batch-sized staging allocations per
   // tile.
   join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
-                               {overlap});
+                               {options.overlap_transfers});
 
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const raster::CanvasTile& tile = tiles[t];
@@ -155,8 +151,6 @@ Result<JoinResult> BoundedBlockJoin(
   return result;
 }
 
-}  // namespace
-
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      const PointTable& points,
                                      const PolygonSet& polys,
@@ -171,42 +165,21 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
   // the draw) fit the available budget.
   const std::size_t bytes_per_point =
       UploadBytesPerPoint(options.filters, options.weight_column);
-  bool overlap = options.overlap_transfers;
-  std::size_t batch = options.batch_size;
-  if (batch == 0) {
+  BoundedRasterJoinOptions planned = options;
+  if (planned.batch_size == 0) {
     const UploadPlan plan = PlanUpload(device->bytes_free(), bytes_per_point,
-                                       points.size(), overlap);
-    batch = plan.batch_size;
-    overlap = plan.overlap_transfers;
+                                       points.size(),
+                                       options.overlap_transfers);
+    planned.batch_size = plan.batch_size;
+    planned.overlap_transfers = plan.overlap_transfers;
   }
 
   // The adapter's blocks are exactly the planned batch slices, so the
-  // block core batches bitwise-identically to the historical table scan.
-  data::TableBlockSource adapter(&points, std::max<std::size_t>(batch, 1));
-  std::vector<std::size_t> scan(adapter.num_blocks());
-  for (std::size_t b = 0; b < scan.size(); ++b) scan[b] = b;
-  return BoundedBlockJoin(device, adapter, std::move(scan), polys, soup,
-                          world, options, overlap, stats, ranges_out,
-                          point_fbo_out);
-}
-
-Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
-                                     const data::PointBlockSource& source,
-                                     const PolygonSet& polys,
-                                     const TriangleSoup& soup,
-                                     const BBox& world,
-                                     const BoundedRasterJoinOptions& options,
-                                     BoundedRasterJoinStats* stats,
-                                     ResultRanges* ranges_out,
-                                     std::optional<raster::Fbo>* point_fbo_out) {
-  BlockSelection sel = SelectBlocks(source, options.filters, &world,
-                                    options.enable_block_pruning);
-  device->counters().AddBlocksScanned(sel.scanned);
-  device->counters().AddBlocksPruned(sel.pruned);
-  if (stats != nullptr) stats->blocks_pruned = sel.pruned;
-  return BoundedBlockJoin(device, source, std::move(sel.blocks), polys, soup,
-                          world, options, options.overlap_transfers, stats,
-                          ranges_out, point_fbo_out);
+  // block-source core batches the table in fixed-size slices.
+  data::TableBlockSource adapter(&points,
+                                 std::max<std::size_t>(planned.batch_size, 1));
+  return BoundedRasterJoin(device, adapter, AllBlocks(adapter), polys, soup,
+                           world, planned, stats, ranges_out, point_fbo_out);
 }
 
 }  // namespace rj

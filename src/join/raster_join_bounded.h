@@ -52,12 +52,6 @@ struct BoundedRasterJoinOptions {
   /// When set, also compute per-polygon result ranges (§5). Requires the
   /// canvas to fit in a single tile.
   bool compute_result_ranges = false;
-
-  /// Block-source executions only: skip blocks whose zone map proves no
-  /// row can pass the filters inside the canvas (SelectBlocks). Strictly
-  /// conservative, so results are bitwise identical with pruning on or
-  /// off — the knob exists for A/B timing and the determinism tests.
-  bool enable_block_pruning = true;
 };
 
 /// Diagnostics of one bounded execution.
@@ -65,7 +59,6 @@ struct BoundedRasterJoinStats {
   std::size_t num_tiles = 0;
   std::size_t num_batches = 0;
   std::uint64_t points_drawn = 0;
-  std::size_t blocks_pruned = 0;  ///< block-source executions only
 };
 
 /// Executes the bounded raster join on the simulated device.
@@ -92,14 +85,18 @@ Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      std::optional<raster::Fbo>* point_fbo_out =
                                          nullptr);
 
-/// Block-source execution: streams the zone-map-selected blocks of
-/// `source` (disk-resident files run the three-stage disk→host→device
-/// pipeline; options.batch_size is ignored — the block capacity is the
-/// batch size). Bitwise identical to running the in-memory overload on
-/// the materialized source (data::MaterializeBlocks), for any block size,
-/// worker count, or pruning setting.
+/// Block-source execution, the core the table overload reduces to: streams
+/// exactly blocks `scan` of `source` (ascending ordinals), one device batch
+/// per block; disk-resident sources run the three-stage disk→host→device
+/// pipeline. The caller chooses the list (SelectBlocks; Executor prunes
+/// against its per-query region) and meters it. options.batch_size is
+/// ignored — the block capacity is the batch size. Bitwise identical to
+/// the table overload on the materialized blocks (data::MaterializeBlocks)
+/// for any block size, worker count, or pruned-away blocks that provably
+/// contribute nothing.
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      const data::PointBlockSource& source,
+                                     std::vector<std::size_t> scan,
                                      const PolygonSet& polys,
                                      const TriangleSoup& soup,
                                      const BBox& world,

@@ -18,25 +18,11 @@ namespace rj {
 
 namespace {
 
-/// Batch size + effective overlap that keep the upload pipeline's
-/// in-flight VBOs (two when transfers overlap the draw) within `cap` —
-/// the query's admission grant. A cap too small to double-buffer
-/// downgrades to the serialized path instead of overshooting the grant.
-/// batch_size 0 = no cap requested (the join derives its own plan).
-UploadPlan CappedBatch(std::size_t cap_bytes, std::size_t bytes_per_point,
-                       std::size_t num_points, bool overlap_transfers) {
-  if (cap_bytes == 0 || bytes_per_point == 0) {
-    return UploadPlan{0, overlap_transfers};
-  }
-  return PlanUpload(cap_bytes, bytes_per_point, num_points,
-                    overlap_transfers);
-}
-
 /// Pixel-wise accumulation of one shard's point FBO into the gather
 /// canvas, channel-appropriately: count/sum add, min/max blend. Because
 /// every channel's per-shard partial is exactly representable in the
 /// integer-weight regime, the accumulated FBO is bitwise identical to the
-/// one a single device would have produced from the whole point stream.
+/// one a single shard would have produced from the whole point stream.
 void AccumulateFbo(raster::Fbo* dst, const raster::Fbo& src) {
   std::vector<float>& d = dst->mutable_data();
   const std::vector<float>& s = src.data();
@@ -56,8 +42,8 @@ void AccumulateFbo(raster::Fbo* dst, const raster::Fbo& src) {
 }
 
 /// Per-member half of a fusion group, derived from the queries. The §5
-/// range request is honored for the bounded variant only — the same wiring
-/// as RunVariant, where only BoundedRasterJoin takes ranges_out.
+/// range request is honored for the bounded variant only, the one join
+/// that computes ranges.
 std::vector<FusedMemberSpec> FusedMembers(
     const std::vector<SpatialAggQuery>& queries, JoinVariant variant) {
   std::vector<FusedMemberSpec> members(queries.size());
@@ -71,6 +57,25 @@ std::vector<FusedMemberSpec> FusedMembers(
   return members;
 }
 
+/// Upload stride of a group's shared scan: the union of the members'
+/// columns (FusedUploadColumns, the definition the fused joins ship), or 0
+/// for the CPU index join, which uploads nothing.
+std::size_t UnionStride(const std::vector<FusedMemberSpec>& members,
+                        JoinVariant variant) {
+  if (variant == JoinVariant::kIndexCpu) return 0;
+  return UploadStrideBytes(FusedUploadColumns(members));
+}
+
+/// The members' filter sets, the per-member half of the pruning rule
+/// (AnyZoneMapMatch).
+std::vector<FilterSet> MemberFilters(
+    const std::vector<SpatialAggQuery>& queries) {
+  std::vector<FilterSet> filters;
+  filters.reserve(queries.size());
+  for (const SpatialAggQuery& q : queries) filters.push_back(q.filters);
+  return filters;
+}
+
 }  // namespace
 
 void AssignSequentialIds(PolygonSet* polys) {
@@ -79,9 +84,67 @@ void AssignSequentialIds(PolygonSet* polys) {
   }
 }
 
-void Executor::InitWorldAndCosts(const BBox& points_extent,
-                                 std::size_t num_points) {
-  world_ = ComputeExtent(*polys_);
+Executor::Executor(std::unique_ptr<gpu::DevicePool> owned_pool,
+                   gpu::DevicePool* pool, const PolygonSet* polys)
+    : owned_pool_(std::move(owned_pool)),
+      pool_(pool != nullptr ? pool : owned_pool_.get()),
+      polys_(polys),
+      plan_cache_(std::make_unique<query::PlanCache>()) {}
+
+Executor::Executor(gpu::Device* device, const PointTable* points,
+                   const PolygonSet* polys)
+    : Executor(std::make_unique<gpu::DevicePool>(
+                   std::vector<gpu::Device*>{device}),
+               nullptr, polys) {
+  backing_ = points;
+  AddTableShard(points, /*zone=*/nullptr, /*home=*/0);
+  InitWorldAndCosts(shards_[0].source->extent());
+}
+
+Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
+                   const PolygonSet* polys)
+    : Executor(std::make_unique<gpu::DevicePool>(
+                   std::vector<gpu::Device*>{device}),
+               nullptr, polys) {
+  backing_ = source;
+  shards_.push_back(Shard{source, nullptr, nullptr, 0});
+  num_points_ = static_cast<std::size_t>(source->num_rows());
+  // The source's extent is part of its header/metadata (O(1)), so the
+  // registration-time cost here is the polygon scan only — no block reads.
+  InitWorldAndCosts(source->extent());
+}
+
+Executor::Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
+                   const PolygonSet* polys)
+    : Executor(nullptr, pool, polys) {
+  backing_ = shards;
+  for (std::size_t s = 0; s < shards->num_shards(); ++s) {
+    AddTableShard(&shards->shard(s), &shards->shard_zone(s),
+                  s % pool->size());
+  }
+  // The sharded world must equal the single-device world for the same
+  // dataset — shards->extent() is the *whole* dataset's extent, so the
+  // canvas (and every rasterized pixel) lines up bitwise with an unsharded
+  // run.
+  InitWorldAndCosts(shards->extent());
+}
+
+Executor::~Executor() = default;
+
+void Executor::AddTableShard(const PointTable* table,
+                             const data::BlockZoneMap* zone,
+                             std::size_t home) {
+  // One block: the registered source describes the shard; every query
+  // re-cuts the rows into batches sized to its grant (JoinShard).
+  table_sources_.push_back(std::make_unique<data::TableBlockSource>(
+      table, std::max<std::size_t>(table->size(), 1)));
+  shards_.push_back(Shard{table_sources_.back().get(), table, zone, home});
+  num_points_ += table->size();
+}
+
+void Executor::InitWorldAndCosts(const BBox& points_extent) {
+  polygon_extent_ = ComputeExtent(*polys_);
+  world_ = polygon_extent_;
   world_.Expand(points_extent);
   // Inflate a hair so max-coordinate points land inside the last pixel
   // rather than exactly on the canvas edge.
@@ -93,46 +156,15 @@ void Executor::InitWorldAndCosts(const BBox& points_extent,
   // so the O(total vertices) scan runs once here instead of per kAuto
   // query — ResolveVariant is on the per-query dispatch path twice
   // (admission planning and execution).
-  cost_inputs_.num_points = num_points;
+  cost_inputs_.num_points = num_points_;
   cost_inputs_.num_polygons = polys_->size();
   cost_inputs_.total_polygon_vertices = TotalVertices(*polys_);
   cost_inputs_.world = world_;
   for (const Polygon& poly : *polys_) {
     cost_inputs_.total_perimeter += poly.OuterPerimeter();
   }
-  cost_inputs_.max_fbo_dim = device_->options().max_fbo_dim;
+  cost_inputs_.max_fbo_dim = device()->options().max_fbo_dim;
 }
-
-Executor::Executor(gpu::Device* device, const PointTable* points,
-                   const PolygonSet* polys)
-    : device_(device), points_(points), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
-  InitWorldAndCosts(points->Extent(), points->size());
-}
-
-Executor::Executor(gpu::Device* device, const data::PointBlockSource* source,
-                   const PolygonSet* polys)
-    : device_(device), points_(nullptr), source_(source), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
-  // The source's extent is part of its header/metadata (O(1)), so the
-  // registration-time cost here is the polygon scan only — no block reads.
-  InitWorldAndCosts(source->extent(),
-                    static_cast<std::size_t>(source->num_rows()));
-}
-
-Executor::Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
-                   const PolygonSet* polys)
-    : device_(pool->primary()), pool_(pool), shards_(shards),
-      points_(nullptr), polys_(polys),
-      plan_cache_(std::make_unique<query::PlanCache>()) {
-  // The sharded world must equal the single-device world for the same
-  // dataset — shards_->extent() is the *whole* dataset's extent, so the
-  // canvas (and every rasterized pixel) lines up bitwise with an unsharded
-  // run.
-  InitWorldAndCosts(shards->extent(), shards->total_points());
-}
-
-Executor::~Executor() = default;
 
 query::PlanCacheStats Executor::plan_cache_stats() const {
   return plan_cache_->stats();
@@ -146,13 +178,11 @@ void Executor::BumpDatasetVersion() {
   plan_cache_->Clear();
 }
 
-std::vector<std::size_t> Executor::ShardsPerDevice() const {
-  if (!sharded()) return {1};
-  std::vector<std::size_t> hosted(pool_->size(), 0);
-  for (std::size_t s = 0; s < shards_->num_shards(); ++s) {
-    ++hosted[s % pool_->size()];
+bool Executor::disk_resident() const {
+  for (const Shard& shard : shards_) {
+    if (shard.source->disk_resident()) return true;
   }
-  return hosted;
+  return false;
 }
 
 Result<const TriangleSoup*> Executor::GetTriangulation() {
@@ -213,158 +243,189 @@ JoinVariant Executor::ResolveVariant(const SpatialAggQuery& query) const {
 }
 
 Result<AdmissionPlan> Executor::PlanAdmission(const SpatialAggQuery& query) {
-  const JoinVariant variant = ResolveVariant(query);
+  return PlanFusedAdmission({query});
+}
+
+Result<AdmissionPlan> Executor::PlanFusedAdmission(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
+  }
+  const JoinVariant variant = ResolveVariant(queries[0]);
   if (variant == JoinVariant::kIndexCpu) {
     return AdmissionPlan{};  // never touches device memory
   }
-  const std::size_t weight_column = query.EffectiveAggregateColumn();
-  const std::size_t bytes_per_point =
-      UploadBytesPerPoint(query.filters, weight_column);
   // Everything below is a pure function of (variant, stride, overlap) for
   // this dataset — the triangle-VBO term depends only on the immutable
   // polygon set — so repeats skip the triangulation-cache mutex entirely.
   query::PlanCache::AdmissionKey key;
   key.variant = variant;
-  key.bytes_per_point = bytes_per_point;
-  key.overlap = query.overlap_transfers;
+  key.bytes_per_point = UnionStride(FusedMembers(queries, variant), variant);
+  key.overlap = queries[0].overlap_transfers;
   return plan_cache_->GetAdmission(key, [&]() -> Result<AdmissionPlan> {
     AdmissionPlan plan;
-    plan.bytes_per_point = bytes_per_point;
+    plan.bytes_per_point = key.bytes_per_point;
     if (variant == JoinVariant::kBoundedRaster) {
       RJ_ASSIGN_OR_RETURN(const TriangleSoup* soup, GetTriangulation());
       plan.fixed_bytes = TriangleVboBytes(soup->size());
     }
     // The triangle VBO is uploaded and freed before the point pipeline
     // starts, so the peak is the max of the fixed upload and the point
-    // buffers in flight — 2× the stride when transfers overlap the draw
-    // (BatchPipeline keeps batches b and b+1 resident), 1× serialized. A
-    // single full-set batch never double-buffers, so full_bytes stays 1×.
-    const std::size_t in_flight = query.overlap_transfers ? 2 : 1;
-    if (source_backed()) {
-      // Block-source scans upload whole blocks: the batch size IS the
-      // block capacity (not grant-tunable), so the floor is in_flight
-      // blocks, not in_flight points. It is also the peak — the pipeline
-      // keeps at most in_flight block VBOs resident (disk-staged loading
-      // slots hold host rows, no VBO), so full_bytes never grows to the
-      // whole point set the way a fully-resident table batch would.
-      const std::size_t block_points = std::max<std::size_t>(
-          std::min<std::size_t>(source_->block_capacity(),
-                                PlanningPointCount()),
-          1);
-      plan.min_bytes = std::max(plan.fixed_bytes,
-                                in_flight * block_points *
-                                    plan.bytes_per_point);
-      plan.full_bytes = plan.min_bytes;
-      return plan;
+    // batches in flight — 2 when transfers overlap the draw (BatchPipeline
+    // keeps batches b and b+1 resident), 1 serialized. A RAM shard's
+    // smallest batch is one point and its largest the whole shard (a
+    // single full batch never double-buffers). A disk shard's batch IS its
+    // block (not grant-tunable), so its floor is in_flight blocks — which
+    // is also its peak: the pipeline keeps at most in_flight block VBOs
+    // resident (disk-staged loading slots hold host rows, no VBO).
+    const std::size_t in_flight = key.overlap ? 2 : 1;
+    std::size_t floor_points = 1;
+    std::size_t full_points = 0;
+    for (const Shard& shard : shards_) {
+      const auto rows = static_cast<std::size_t>(shard.source->num_rows());
+      if (shard.table != nullptr) {
+        full_points = std::max(full_points, rows);
+        continue;
+      }
+      const std::size_t block = std::max<std::size_t>(
+          std::min(shard.source->block_capacity(), rows), 1);
+      floor_points = std::max(floor_points, block);
+      full_points = std::max(full_points, block);
     }
-    plan.min_bytes =
-        std::max(plan.fixed_bytes, in_flight * plan.bytes_per_point);
-    plan.full_bytes = std::max(
-        {plan.fixed_bytes, PlanningPointCount() * plan.bytes_per_point,
-         plan.min_bytes});
+    plan.min_bytes = std::max(plan.fixed_bytes,
+                              in_flight * floor_points * plan.bytes_per_point);
+    plan.full_bytes =
+        std::max({plan.fixed_bytes, full_points * plan.bytes_per_point,
+                  plan.min_bytes});
     return plan;
   });
 }
 
-Result<JoinResult> Executor::RunVariant(
-    gpu::Device* device, const PointTable* points,
-    const data::PointBlockSource* source, JoinVariant variant,
-    const SpatialAggQuery& query, std::size_t weight_column,
-    const UploadPlan& capped, const TriangleSoup* soup,
-    const GridIndex* cpu_index, const GridIndex* device_index,
-    ResultRanges* ranges_out, std::optional<raster::Fbo>* point_fbo_out) {
-  switch (variant) {
-    case JoinVariant::kBoundedRaster: {
-      BoundedRasterJoinOptions options;
-      options.epsilon = query.epsilon;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      options.compute_result_ranges = ranges_out != nullptr;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return BoundedRasterJoin(device, *source, *polys_, *soup, world_,
-                                 options, nullptr, ranges_out,
-                                 point_fbo_out);
-      }
-      return BoundedRasterJoin(device, *points, *polys_, *soup, world_,
-                               options, nullptr, ranges_out, point_fbo_out);
+Result<BBox> Executor::PruningRegion(JoinVariant variant,
+                                     const SpatialAggQuery& query) const {
+  double pad = 0.0;
+  const std::int32_t max_fbo_dim = device()->options().max_fbo_dim;
+  if (variant == JoinVariant::kBoundedRaster) {
+    // One canvas pixel, from the very canvas plan the shards will render
+    // on (the widest pixel across tiles, applied on both axes — strictly
+    // conservative).
+    RJ_ASSIGN_OR_RETURN(std::vector<raster::CanvasTile> tiles,
+                        raster::PlanCanvas(world_, query.epsilon, max_fbo_dim));
+    for (const raster::CanvasTile& t : tiles) {
+      pad = std::max({pad, t.world.Width() / t.width,
+                      t.world.Height() / t.height});
     }
-    case JoinVariant::kAccurateRaster: {
-      AccurateRasterJoinOptions options;
-      options.canvas_dim = query.accurate_canvas_dim;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return AccurateRasterJoin(device, *source, *polys_, *soup, world_,
-                                  options);
-      }
-      return AccurateRasterJoin(device, *points, *polys_, *soup, world_,
-                                options);
-    }
-    case JoinVariant::kIndexDevice: {
-      IndexJoinOptions options;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.batch_size = capped.batch_size;
-      options.overlap_transfers = capped.overlap_transfers;
-      options.prebuilt_index = device_index;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return IndexJoinDevice(device, *source, *polys_, world_, options);
-      }
-      return IndexJoinDevice(device, *points, *polys_, world_, options);
-    }
-    case JoinVariant::kIndexCpu: {
-      IndexJoinOptions options;
-      options.weight_column = weight_column;
-      options.filters = query.filters;
-      options.assign_mode = GridAssignMode::kExactGeometry;
-      if (source != nullptr) {
-        options.enable_block_pruning = query.enable_block_pruning;
-        return IndexJoinCpu(*source, *polys_, *cpu_index, options,
-                            query.cpu_threads);
-      }
-      return IndexJoinCpu(*points, *polys_, *cpu_index, options,
-                          query.cpu_threads);
-    }
-    case JoinVariant::kAuto:
-      break;
+  } else if (variant == JoinVariant::kAccurateRaster) {
+    // One pixel of the accurate canvas, over-approximated with the longer
+    // world side (the canvas is square over the world extent).
+    const std::int32_t dim = query.accurate_canvas_dim > 0
+                                 ? query.accurate_canvas_dim
+                                 : max_fbo_dim;
+    pad = std::max(world_.Width(), world_.Height()) /
+          static_cast<double>(std::max<std::int32_t>(dim, 1));
   }
-  return Status::Internal("kAuto should have been resolved");
+  // Index variants are PIP-exact: a contributing point lies inside a
+  // polygon, hence inside the unpadded extent (Intersects is closed).
+  return polygon_extent_.Inflated(pad);
 }
 
-Result<Executor::QuerySetup> Executor::PrepareQuery(
+bool Executor::UsesShardCache(const std::vector<SpatialAggQuery>& queries,
+                              JoinVariant variant) const {
+  if (result_cache_ == nullptr || shards_.size() < 2) return false;
+  for (const SpatialAggQuery& q : queries) {
+    const bool want_ranges =
+        q.with_result_ranges && variant == JoinVariant::kBoundedRaster;
+    if (!q.enable_shard_cache || q.bypass_result_cache || want_ranges) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<Executor::ShardPlacement> Executor::PlanPlacement(
     const SpatialAggQuery& query) {
-  QuerySetup setup;
-  setup.weight_column = query.EffectiveAggregateColumn();
-  if (query.aggregate != AggregateKind::kCount &&
-      setup.weight_column == PointTable::npos) {
-    return Status::InvalidArgument(
-        "non-COUNT aggregates require aggregate_column");
+  return PlanFusedPlacement({query});
+}
+
+Result<Executor::ShardPlacement> Executor::PlanFusedPlacement(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
   }
-  setup.variant = ResolveVariant(query);
-  setup.bytes_per_point =
-      UploadBytesPerPoint(query.filters, setup.weight_column);
-  if (setup.variant == JoinVariant::kBoundedRaster ||
-      setup.variant == JoinVariant::kAccurateRaster) {
-    RJ_ASSIGN_OR_RETURN(setup.soup, GetTriangulation());
+  const SpatialAggQuery& lead = queries[0];
+  const JoinVariant variant = ResolveVariant(lead);
+  const std::size_t num_shards = shards_.size();
+  const std::size_t num_devices = pool_->size();
+  ShardPlacement p;
+  p.device_of_shard.assign(num_shards, 0);
+  p.cached.resize(num_shards);
+  p.hosted.assign(num_devices, 0);
+  RJ_ASSIGN_OR_RETURN(p.region, PruningRegion(variant, lead));
+
+  std::vector<query::CacheKey> keys;
+  if (UsesShardCache(queries, variant)) {
+    for (const SpatialAggQuery& q : queries) {
+      keys.push_back(query::MakeCacheKey(dataset_cache_key_,
+                                         dataset_version(), q, variant));
+    }
   }
-  if (setup.variant == JoinVariant::kIndexCpu) {
-    RJ_ASSIGN_OR_RETURN(setup.cpu_index,
-                        GetCpuIndex(IndexJoinOptions{}.index_resolution));
+
+  const std::vector<FilterSet> filters = MemberFilters(queries);
+  std::vector<std::vector<std::size_t>> replicas = shard_replicas();
+
+  // Placement-local load: executing shards assigned so far per device. The
+  // tie-break (lowest device index) keeps placement deterministic for a
+  // fixed replica map.
+  std::vector<std::size_t> load(num_devices, 0);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const Shard& shard = shards_[s];
+    if (lead.enable_shard_routing && shard.zone != nullptr &&
+        !AnyZoneMapMatch(*shard.zone, filters, &p.region)) {
+      p.device_of_shard[s] = ShardPlacement::kSkipped;
+      ++p.skipped;
+      continue;
+    }
+    if (!keys.empty()) {
+      std::vector<std::shared_ptr<const QueryResult>> hits;
+      for (query::CacheKey key : keys) {
+        key.shard = s;
+        std::shared_ptr<const QueryResult> hit = result_cache_->Lookup(key);
+        if (hit == nullptr) break;
+        hits.push_back(std::move(hit));
+      }
+      if (hits.size() == keys.size()) {
+        p.device_of_shard[s] = ShardPlacement::kCached;
+        p.cached[s] = std::move(hits);
+        ++p.cache_hits;
+        continue;
+      }
+    }
+    std::size_t best = shard.home;
+    if (s < replicas.size()) {
+      for (const std::size_t d : replicas[s]) {
+        if (d >= num_devices) continue;  // stale map from a larger pool
+        if (load[d] < load[best] || (load[d] == load[best] && d < best)) {
+          best = d;
+        }
+      }
+    }
+    p.device_of_shard[s] = best;
+    ++load[best];
+    ++p.hosted[best];
+    ++p.executed;
   }
-  if (setup.variant == JoinVariant::kIndexDevice) {
-    // The §6.2 baseline's per-query device index, hoisted into the prep
-    // cache: repeated queries (the multi-query workload) skip the rebuild.
-    RJ_ASSIGN_OR_RETURN(setup.device_index,
-                        GetDeviceIndex(IndexJoinOptions{}.index_resolution));
+
+  if (p.executed == 0 && p.cache_hits == 0) {
+    // Forced keep: every shard was routed away, but the merge (and a
+    // ranges gather) still needs one correctly-shaped partial. Shard 0 on
+    // its home device joins zero-contributing rows — the result is the
+    // same all-zero aggregate, bitwise.
+    p.device_of_shard[0] = shards_[0].home;
+    --p.skipped;
+    ++p.hosted[shards_[0].home];
+    ++p.executed;
   }
-  return setup;
+  return p;
 }
 
 Result<QueryResult> Executor::Execute(const QuerySpec& spec,
@@ -389,7 +450,7 @@ Result<QueryResult> Executor::Execute(const SpatialAggQuery& query) {
       result_cache_->GetOrCompute(
           key, [&] { return ExecuteUncached(query); }, &hit,
           // Publish guard: never cache a result whose key version was
-          // outrun by a concurrent dataset bump (streaming append,
+          // outrun by a concurrent dataset bump (invalidation,
           // re-registration) while the flight computed.
           [&] { return dataset_version() == key.version; }));
   QueryResult out = *shared;
@@ -404,236 +465,231 @@ Result<QueryResult> Executor::Execute(const SpatialAggQuery& query) {
   return out;
 }
 
-Result<QueryResult> Executor::ExecuteUncached(const SpatialAggQuery& query) {
-  return ExecuteUncached(query, nullptr);
+Result<Executor::GroupSetup> Executor::PrepareGroup(
+    const std::vector<SpatialAggQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("fusion group is empty");
+  }
+  GroupSetup setup;
+  setup.variant = ResolveVariant(queries[0]);
+  for (const SpatialAggQuery& q : queries) {
+    if (q.aggregate != AggregateKind::kCount &&
+        q.EffectiveAggregateColumn() == PointTable::npos) {
+      return Status::InvalidArgument(
+          "non-COUNT aggregates require aggregate_column");
+    }
+  }
+  const bool raster = setup.variant == JoinVariant::kBoundedRaster ||
+                      setup.variant == JoinVariant::kAccurateRaster;
+  if (queries.size() > 1) {
+    if (!raster) {
+      return Status::InvalidArgument(
+          "fusion requires a raster variant (bounded or accurate)");
+    }
+    // Re-check structural compatibility here even though the service's
+    // grouping predicate enforces it — the invariant that every member
+    // shares one canvas must hold locally for the shared scan to be valid.
+    for (const SpatialAggQuery& q : queries) {
+      const bool same_canvas =
+          setup.variant == JoinVariant::kBoundedRaster
+              ? q.epsilon == queries[0].epsilon
+              : q.accurate_canvas_dim == queries[0].accurate_canvas_dim;
+      if (ResolveVariant(q) != setup.variant || !same_canvas) {
+        return Status::InvalidArgument(
+            "incompatible fusion group: members must share the resolved "
+            "variant and canvas");
+      }
+    }
+  }
+  setup.members = FusedMembers(queries, setup.variant);
+  setup.stride = UnionStride(setup.members, setup.variant);
+  if (raster) {
+    RJ_ASSIGN_OR_RETURN(setup.soup, GetTriangulation());
+  }
+  if (setup.variant == JoinVariant::kIndexCpu) {
+    RJ_ASSIGN_OR_RETURN(setup.cpu_index,
+                        GetCpuIndex(IndexJoinOptions{}.index_resolution));
+  }
+  if (setup.variant == JoinVariant::kIndexDevice) {
+    // The §6.2 baseline's per-query device index, hoisted into the prep
+    // cache: repeated queries (the multi-query workload) skip the rebuild.
+    RJ_ASSIGN_OR_RETURN(setup.device_index,
+                        GetDeviceIndex(IndexJoinOptions{}.index_resolution));
+  }
+  return setup;
+}
+
+Result<JoinResult> Executor::RunVariant(
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, bool overlap, const GroupSetup& setup,
+    const SpatialAggQuery& query, const FusedMemberSpec& member,
+    ResultRanges* ranges_out, std::optional<raster::Fbo>* point_fbo_out) {
+  switch (setup.variant) {
+    case JoinVariant::kBoundedRaster: {
+      BoundedRasterJoinOptions options;
+      options.epsilon = query.epsilon;
+      options.weight_column = member.weight_column;
+      options.filters = member.filters;
+      options.overlap_transfers = overlap;
+      options.compute_result_ranges = member.compute_result_ranges;
+      return BoundedRasterJoin(
+          device, source, std::move(scan), *polys_, *setup.soup, world_,
+          options, nullptr, member.compute_result_ranges ? ranges_out : nullptr,
+          member.export_point_fbo ? point_fbo_out : nullptr);
+    }
+    case JoinVariant::kAccurateRaster: {
+      AccurateRasterJoinOptions options;
+      options.canvas_dim = query.accurate_canvas_dim;
+      options.weight_column = member.weight_column;
+      options.filters = member.filters;
+      options.overlap_transfers = overlap;
+      return AccurateRasterJoin(device, source, std::move(scan), *polys_,
+                                *setup.soup, world_, options);
+    }
+    case JoinVariant::kIndexDevice: {
+      IndexJoinOptions options;
+      options.weight_column = member.weight_column;
+      options.filters = member.filters;
+      options.overlap_transfers = overlap;
+      options.prebuilt_index = setup.device_index;
+      return IndexJoinDevice(device, source, std::move(scan), *polys_, world_,
+                             options);
+    }
+    case JoinVariant::kIndexCpu: {
+      IndexJoinOptions options;
+      options.weight_column = member.weight_column;
+      options.filters = member.filters;
+      options.assign_mode = GridAssignMode::kExactGeometry;
+      return IndexJoinCpu(source, scan, *polys_, *setup.cpu_index, options,
+                          query.cpu_threads);
+    }
+    case JoinVariant::kAuto:
+      break;
+  }
+  return Status::Internal("kAuto should have been resolved");
+}
+
+Result<FusedJoinOutput> Executor::JoinShard(
+    gpu::Device* device, const Shard& shard, const GroupSetup& setup,
+    const std::vector<SpatialAggQuery>& queries, const BBox& region) {
+  const SpatialAggQuery& lead = queries[0];
+  const std::size_t cap = lead.device_memory_cap_bytes;
+  bool overlap = lead.overlap_transfers;
+
+  // The shard's scan. A RAM shard cuts its rows into batches sized to the
+  // grant (each shard batches within its own grant slice; no grant = the
+  // device's free budget). A disk shard's batches are its blocks, selected
+  // against the query region; the grant only decides double buffering — a
+  // grant too small for two in-flight blocks downgrades to the serialized
+  // path instead of overshooting, mirroring PlanUpload's downgrade rule.
+  std::optional<data::TableBlockSource> batches;
+  const data::PointBlockSource* source = shard.source;
+  std::vector<std::size_t> scan;
+  if (shard.table != nullptr) {
+    const std::size_t rows = shard.table->size();
+    const auto plan_within = [&](std::size_t budget) {
+      return PlanUpload(budget, setup.stride, rows, overlap);
+    };
+    const UploadPlan plan =
+        cap == 0 ? plan_within(device->bytes_free())
+                 : plan_cache_->GetUpload({cap, setup.stride, rows, overlap},
+                                          [&] { return plan_within(cap); });
+    batches.emplace(shard.table, plan.batch_size);
+    source = &*batches;
+    scan = AllBlocks(*source);
+    overlap = plan.overlap_transfers;
+  } else {
+    const std::size_t block_bytes =
+        std::min<std::size_t>(source->block_capacity(), source->num_rows()) *
+        setup.stride;
+    overlap = overlap && (cap == 0 || 2 * block_bytes <= cap);
+    BlockSelection sel = SelectBlocks(*source, MemberFilters(queries),
+                                      &region, lead.enable_block_pruning);
+    device->counters().AddBlocksScanned(sel.scanned);
+    device->counters().AddBlocksPruned(sel.pruned);
+    scan = std::move(sel.blocks);
+  }
+
+  if (queries.size() > 1) {
+    FusedJoinOptions options;
+    options.epsilon = lead.epsilon;
+    options.canvas_dim = lead.accurate_canvas_dim;
+    options.overlap_transfers = overlap;
+    return setup.variant == JoinVariant::kBoundedRaster
+               ? FusedBoundedRasterJoin(device, *source, std::move(scan),
+                                        *polys_, *setup.soup, world_, options,
+                                        setup.members)
+               : FusedAccurateRasterJoin(device, *source, std::move(scan),
+                                         *polys_, *setup.soup, world_,
+                                         options, setup.members);
+  }
+  // A group of one runs the member's own join, which covers every variant.
+  FusedJoinOutput out;
+  out.ranges.resize(1);
+  out.point_fbos.resize(1);
+  RJ_ASSIGN_OR_RETURN(
+      JoinResult join,
+      RunVariant(device, *source, std::move(scan), overlap, setup, lead,
+                 setup.members[0], &out.ranges[0], &out.point_fbos[0]));
+  out.arrays.push_back(std::move(join.arrays));
+  out.timing = join.timing;
+  return out;
 }
 
 Result<QueryResult> Executor::ExecuteUncached(
     const SpatialAggQuery& query, const ShardPlacement* placement) {
-  if (sharded()) return ExecuteSharded(query, placement);
-
-  Timer total;
-  QueryResult out;
-
-  RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(query));
-  UploadPlan capped{0, query.overlap_transfers};
-  if (source_backed()) {
-    // Block scans ignore batch_size — the block capacity is the batch. The
-    // only grant-sensitive knob left is double-buffering: a grant too
-    // small for two in-flight blocks downgrades to the serialized path
-    // instead of overshooting, mirroring CappedBatch's downgrade rule.
-    const std::size_t block_bytes =
-        std::min<std::size_t>(source_->block_capacity(),
-                              PlanningPointCount()) *
-        setup.bytes_per_point;
-    if (capped.overlap_transfers && query.device_memory_cap_bytes != 0 &&
-        2 * block_bytes > query.device_memory_cap_bytes) {
-      capped.overlap_transfers = false;
-    }
-  } else {
-    capped = plan_cache_->GetUpload(
-        {query.device_memory_cap_bytes, setup.bytes_per_point,
-         points_->size(), query.overlap_transfers},
-        [&] {
-          return CappedBatch(query.device_memory_cap_bytes,
-                             setup.bytes_per_point, points_->size(),
-                             query.overlap_transfers);
-        });
-  }
-
-  JoinResult join;
-  RJ_ASSIGN_OR_RETURN(
-      join, RunVariant(device_, points_, source_, setup.variant, query,
-                       setup.weight_column, capped, setup.soup,
-                       setup.cpu_index, setup.device_index,
-                       query.with_result_ranges ? &out.ranges : nullptr,
-                       nullptr));
-
-  out.values = join.Finalize(query.aggregate);
-  out.arrays = std::move(join.arrays);
-  out.timing = join.timing;
-  out.total_seconds = total.ElapsedSeconds();
-  return out;
+  RJ_ASSIGN_OR_RETURN(std::vector<QueryResult> out,
+                      ExecuteFused({query}, placement));
+  return std::move(out[0]);
 }
 
 Result<std::vector<QueryResult>> Executor::ExecuteFused(
-    const std::vector<SpatialAggQuery>& queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("fusion group is empty");
-  }
-  if (source_backed()) {
-    // The fused pipelines share one resident upload scan over a
-    // PointTable; the block path streams from disk instead. QueryService
-    // never forms fusion groups over disk-resident datasets, but keep the
-    // API total: run the members individually — by the fusion contract
-    // each result is bitwise identical either way.
-    std::vector<QueryResult> out;
-    out.reserve(queries.size());
-    for (const SpatialAggQuery& q : queries) {
-      RJ_ASSIGN_OR_RETURN(QueryResult r, ExecuteUncached(q));
-      out.push_back(std::move(r));
-    }
-    return out;
-  }
-  if (queries.size() == 1) {
-    RJ_ASSIGN_OR_RETURN(QueryResult only, ExecuteUncached(queries[0]));
-    std::vector<QueryResult> out;
-    out.push_back(std::move(only));
-    return out;
-  }
-
-  Timer total;
-  // Per-member preamble (validates aggregates/columns; the soup is shared
-  // across the group via the triangulation cache).
-  std::vector<QuerySetup> setups;
-  setups.reserve(queries.size());
-  for (const SpatialAggQuery& q : queries) {
-    RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(q));
-    setups.push_back(setup);
-  }
-  const JoinVariant variant = setups[0].variant;
-  if (variant != JoinVariant::kBoundedRaster &&
-      variant != JoinVariant::kAccurateRaster) {
-    return Status::InvalidArgument(
-        "fusion requires a raster variant (bounded or accurate)");
-  }
-  // Re-check structural compatibility here even though the service's
-  // grouping predicate enforces it — the invariant that every member
-  // shares one canvas must hold locally for the shared scan to be valid.
-  for (std::size_t i = 1; i < queries.size(); ++i) {
-    const bool same_canvas =
-        variant == JoinVariant::kBoundedRaster
-            ? queries[i].epsilon == queries[0].epsilon
-            : queries[i].accurate_canvas_dim ==
-                  queries[0].accurate_canvas_dim;
-    if (setups[i].variant != variant || !same_canvas) {
-      return Status::InvalidArgument(
-          "incompatible fusion group: members must share the resolved "
-          "variant and canvas");
-    }
-  }
-
-  const std::vector<FusedMemberSpec> members = FusedMembers(queries, variant);
-  if (sharded()) {
-    return ExecuteFusedSharded(queries, members, variant, setups[0].soup);
-  }
-
-  const std::size_t stride = UploadStrideBytes(FusedUploadColumns(members));
-  const UploadPlan capped = plan_cache_->GetUpload(
-      {queries[0].device_memory_cap_bytes, stride, points_->size(),
-       queries[0].overlap_transfers},
-      [&] {
-        return CappedBatch(queries[0].device_memory_cap_bytes, stride,
-                           points_->size(), queries[0].overlap_transfers);
-      });
-
-  FusedJoinOptions options;
-  options.epsilon = queries[0].epsilon;
-  options.canvas_dim = queries[0].accurate_canvas_dim;
-  options.batch_size = capped.batch_size;
-  options.overlap_transfers = capped.overlap_transfers;
-
-  Result<FusedJoinOutput> fused_result =
-      variant == JoinVariant::kBoundedRaster
-          ? FusedBoundedRasterJoin(device_, *points_, *polys_,
-                                   *setups[0].soup, world_, options, members)
-          : FusedAccurateRasterJoin(device_, *points_, *polys_,
-                                    *setups[0].soup, world_, options,
-                                    members);
-  if (!fused_result.ok()) return fused_result.status();
-  FusedJoinOutput fused = std::move(fused_result).MoveValueUnsafe();
-
-  // Demultiplex: per-member payloads, group-level diagnostics replicated.
-  std::vector<QueryResult> out(queries.size());
-  const double seconds = total.ElapsedSeconds();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    out[i].arrays = std::move(fused.arrays[i]);
-    out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
-    out[i].ranges = std::move(fused.ranges[i]);
-    out[i].timing = fused.timing;
-    out[i].total_seconds = seconds;
-  }
-  return out;
-}
-
-Result<AdmissionPlan> Executor::PlanFusedAdmission(
-    const std::vector<SpatialAggQuery>& queries) {
-  if (queries.empty()) {
-    return Status::InvalidArgument("fusion group is empty");
-  }
-  if (queries.size() == 1) return PlanAdmission(queries[0]);
-  const JoinVariant variant = ResolveVariant(queries[0]);
-  if (variant == JoinVariant::kIndexCpu) {
-    return AdmissionPlan{};  // never fused in practice, but keep the shape
-  }
-  // Union stride through the same definition the fused pipelines use
-  // (FusedUploadColumns) — the grant must cover exactly what ships. Group
-  // shapes vary too much for the admission memo, and the arithmetic is
-  // cheap; no PlanCache entry.
-  AdmissionPlan plan;
-  plan.bytes_per_point =
-      UploadStrideBytes(FusedUploadColumns(FusedMembers(queries, variant)));
-  if (variant == JoinVariant::kBoundedRaster) {
-    RJ_ASSIGN_OR_RETURN(const TriangleSoup* soup, GetTriangulation());
-    plan.fixed_bytes = TriangleVboBytes(soup->size());
-  }
-  const std::size_t in_flight = queries[0].overlap_transfers ? 2 : 1;
-  plan.min_bytes =
-      std::max(plan.fixed_bytes, in_flight * plan.bytes_per_point);
-  plan.full_bytes = std::max(
-      {plan.fixed_bytes, PlanningPointCount() * plan.bytes_per_point,
-       plan.min_bytes});
-  return plan;
-}
-
-Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
     const std::vector<SpatialAggQuery>& queries,
-    const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-    const TriangleSoup* soup) {
+    const ShardPlacement* placement) {
   Timer total;
-  const std::size_t m = queries.size();
+  RJ_ASSIGN_OR_RETURN(GroupSetup setup, PrepareGroup(queries));
   if (!pool_->UniformFboLimit()) {
+    // Shards must rasterize on one pixel grid; a pool with mixed FBO
+    // limits would tile the canvas differently per shard.
     return Status::InvalidArgument(
         "sharded execution requires a uniform max_fbo_dim across the pool");
   }
+  // Routing/cache/replica placement — planned here unless the caller
+  // (QueryService) already planned it to size the admission grant.
+  ShardPlacement local_placement;
+  if (placement == nullptr) {
+    RJ_ASSIGN_OR_RETURN(local_placement, PlanFusedPlacement(queries));
+    placement = &local_placement;
+  }
+  const ShardPlacement& place = *placement;
+  const std::size_t m = queries.size();
+  const std::size_t num_shards = shards_.size();
+  const std::size_t num_devices = pool_->size();
+  const auto executes = [&](std::size_t s) {
+    return place.device_of_shard[s] < num_devices;
+  };
 
-  // §5 ranges recompute on the gathered point FBO, exactly as in
-  // ExecuteSharded — shards export FBOs instead of computing intervals.
-  std::vector<FusedMemberSpec> shard_members = members;
-  bool any_ranges = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    shard_members[i].export_point_fbo = members[i].compute_result_ranges;
-    shard_members[i].compute_result_ranges = false;
-    any_ranges = any_ranges || shard_members[i].export_point_fbo;
+  // §5 ranges (bounded variant only). With one executing shard its point
+  // FBO is the whole canvas, so the join computes the ranges itself.
+  // Otherwise the shards export their point FBOs and the §5 classification
+  // runs once over the pixel-wise sum, which is bitwise identical to the
+  // one-shard FBO — merging per-shard *intervals* instead would regroup
+  // the per-pixel area×count products and drift by FP rounding (see
+  // merge_partials.h).
+  const bool gather_ranges = place.executed > 1;
+  for (FusedMemberSpec& member : setup.members) {
+    member.export_point_fbo = gather_ranges && member.compute_result_ranges;
+    member.compute_result_ranges =
+        !gather_ranges && member.compute_result_ranges;
   }
 
-  const std::size_t stride = UploadStrideBytes(FusedUploadColumns(members));
-  const std::size_t num_shards = shards_->num_shards();
+  // --- Scatter: every placed shard joins on its device. -------------------
   std::vector<FusedJoinOutput> shard_out(num_shards);
   std::vector<Status> shard_status(num_shards, Status::OK());
-
   const auto run_shard = [&](std::size_t s) {
-    gpu::Device* dev = shard_device(s);
-    const PointTable& shard_points = shards_->shard(s);
-    const UploadPlan capped = plan_cache_->GetUpload(
-        {queries[0].device_memory_cap_bytes, stride, shard_points.size(),
-         queries[0].overlap_transfers},
-        [&] {
-          return CappedBatch(queries[0].device_memory_cap_bytes, stride,
-                             shard_points.size(),
-                             queries[0].overlap_transfers);
-        });
-    FusedJoinOptions options;
-    options.epsilon = queries[0].epsilon;
-    options.canvas_dim = queries[0].accurate_canvas_dim;
-    options.batch_size = capped.batch_size;
-    options.overlap_transfers = capped.overlap_transfers;
     Result<FusedJoinOutput> join =
-        variant == JoinVariant::kBoundedRaster
-            ? FusedBoundedRasterJoin(dev, shard_points, *polys_, *soup,
-                                     world_, options, shard_members)
-            : FusedAccurateRasterJoin(dev, shard_points, *polys_, *soup,
-                                      world_, options, shard_members);
+        JoinShard(pool_->device(place.device_of_shard[s]), shards_[s], setup,
+                  queries, place.region);
     if (!join.ok()) {
       shard_status[s] = join.status();
       return;
@@ -641,407 +697,145 @@ Result<std::vector<QueryResult>> Executor::ExecuteFusedSharded(
     shard_out[s] = std::move(join).MoveValueUnsafe();
   };
 
-  // Device-window counter attribution, as in ExecuteSharded: shard d's
-  // window carries device d's whole delta.
-  const std::size_t devices_used = std::min(num_shards, pool_->size());
-  std::vector<gpu::CountersSnapshot> before(devices_used);
-  for (std::size_t d = 0; d < devices_used; ++d) {
-    before[d] = pool_->device(d)->counters().Snapshot();
-  }
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      threads.emplace_back(run_shard, s);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  gpu::CountersSnapshot group_counters;
-  for (std::size_t d = 0; d < devices_used; ++d) {
-    group_counters = group_counters.Plus(
-        pool_->device(d)->counters().Snapshot().DeltaSince(before[d]));
-  }
-  for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
-
-  // Per-member gather in ascending shard order — each member's merge is
-  // exactly what its solo ExecuteSharded would perform on these (bitwise
-  // identical) per-shard partials. Shard timings ride member 0's merge
-  // once; the group total is not multiplied per member.
-  std::vector<QueryResult> out(m);
-  PhaseTimer group_timing;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<agg::ShardPartial> partials(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      partials[s].arrays = std::move(shard_out[s].arrays[i]);
-      if (i == 0) partials[s].timing = shard_out[s].timing;
-    }
-    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
-                        agg::MergePartials(partials));
-    out[i].arrays = std::move(merged.arrays);
-    out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
-    if (i == 0) group_timing = merged.timing;
-  }
-
-  if (any_ranges) {
-    RJ_ASSIGN_OR_RETURN(
-        std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, queries[0].epsilon,
-                           device_->options().max_fbo_dim));
-    raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!shard_members[i].export_point_fbo) continue;
-      raster::Fbo gathered = std::move(*shard_out[0].point_fbos[i]);
-      shard_out[0].point_fbos[i].reset();
-      for (std::size_t s = 1; s < num_shards; ++s) {
-        AccumulateFbo(&gathered, *shard_out[s].point_fbos[i]);
-        shard_out[s].point_fbos[i].reset();
-      }
-      ScopedPhase sp(&group_timing, phase::kProcessing);
-      const gpu::CountersSnapshot gather_before =
-          device_->counters().Snapshot();
-      RJ_ASSIGN_OR_RETURN(
-          out[i].ranges,
-          ComputeResultRanges(vp, *polys_, *soup, gathered,
-                              FinalizeAggregate(AggregateKind::kCount,
-                                                out[i].arrays),
-                              &device_->counters(), &device_->pool()));
-      group_counters = group_counters.Plus(
-          device_->counters().Snapshot().DeltaSince(gather_before));
-    }
-  }
-
-  const double seconds = total.ElapsedSeconds();
-  for (std::size_t i = 0; i < m; ++i) {
-    out[i].timing = group_timing;
-    out[i].counters = group_counters;
-    out[i].total_seconds = seconds;
-  }
-  return out;
-}
-
-Result<BBox> Executor::RoutingRegion(JoinVariant variant,
-                                     const SpatialAggQuery& query) {
-  BBox region = ComputeExtent(*polys_);
-  double pad = 0.0;
-  if (variant == JoinVariant::kBoundedRaster) {
-    // One canvas pixel, from the very canvas plan the shards will render
-    // on (the widest pixel across tiles, applied on both axes — strictly
-    // conservative).
-    RJ_ASSIGN_OR_RETURN(
-        std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, query.epsilon,
-                           device_->options().max_fbo_dim));
-    for (const raster::CanvasTile& t : tiles) {
-      pad = std::max({pad, t.world.Width() / t.width,
-                      t.world.Height() / t.height});
-    }
-  } else if (variant == JoinVariant::kAccurateRaster) {
-    // One pixel of the accurate canvas, over-approximated with the longer
-    // world side (the canvas is square over the world extent).
-    const std::int32_t dim = query.accurate_canvas_dim > 0
-                                 ? query.accurate_canvas_dim
-                                 : device_->options().max_fbo_dim;
-    pad = std::max(world_.Width(), world_.Height()) /
-          static_cast<double>(std::max<std::int32_t>(dim, 1));
-  }
-  // Index variants are PIP-exact: a contributing point lies inside a
-  // polygon, hence inside the unpadded extent (Intersects is closed).
-  return region.Inflated(pad);
-}
-
-Result<Executor::ShardPlacement> Executor::PlanPlacement(
-    const SpatialAggQuery& query) {
-  ShardPlacement p;
-  if (!sharded()) {
-    // Trivial single-device placement, so callers (QueryService) can plan
-    // uniformly; matches ShardsPerDevice()'s {1}.
-    p.device_of_shard.assign(1, 0);
-    p.cached.resize(1);
-    p.hosted.assign(1, 1);
-    p.executed = 1;
-    return p;
-  }
-
-  const std::size_t num_shards = shards_->num_shards();
-  const std::size_t pool_size = pool_->size();
-  p.device_of_shard.assign(num_shards, 0);
-  p.cached.resize(num_shards);
-  p.hosted.assign(pool_size, 0);
-
-  const JoinVariant variant = ResolveVariant(query);
-  const bool want_ranges = query.with_result_ranges &&
-                           variant == JoinVariant::kBoundedRaster;
-
-  std::optional<BBox> region;
-  if (query.enable_shard_routing) {
-    RJ_ASSIGN_OR_RETURN(BBox r, RoutingRegion(variant, query));
-    region = r;
-  }
-
-  // Per-shard partials are cacheable only when the whole pipeline is: a
-  // §5-ranges query needs the shard FBOs (not stored), and a bypass must
-  // not read stale entries either.
-  const bool use_cache = query.enable_shard_cache &&
-                         !query.bypass_result_cache &&
-                         result_cache_ != nullptr && !want_ranges;
-  query::CacheKey base_key;
-  if (use_cache) {
-    base_key = query::MakeCacheKey(dataset_cache_key_, dataset_version(),
-                                   query, variant);
-  }
-
-  std::vector<std::vector<std::size_t>> replicas = shard_replicas();
-
-  // Placement-local load: executing shards assigned so far per device. The
-  // tie-break (lowest device index) keeps placement deterministic for a
-  // fixed replica map.
-  std::vector<std::size_t> load(pool_size, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (region.has_value() &&
-        !ZoneMapCanMatch(shards_->shard_zone(s), query.filters, &*region)) {
-      p.device_of_shard[s] = ShardPlacement::kSkipped;
-      ++p.skipped;
-      continue;
-    }
-    if (use_cache) {
-      query::CacheKey key = base_key;
-      key.shard = s;
-      if (std::shared_ptr<const QueryResult> hit =
-              result_cache_->Lookup(key)) {
-        p.device_of_shard[s] = ShardPlacement::kCached;
-        p.cached[s] = std::move(hit);
-        ++p.cache_hits;
-        continue;
-      }
-    }
-    std::size_t best = s % pool_size;
-    if (s < replicas.size()) {
-      for (const std::size_t d : replicas[s]) {
-        if (d >= pool_size) continue;  // stale map from a smaller pool
-        if (load[d] < load[best] || (load[d] == load[best] && d < best)) {
-          best = d;
-        }
-      }
-    }
-    p.device_of_shard[s] = best;
-    ++load[best];
-    ++p.hosted[best];
-    ++p.executed;
-  }
-
-  if (p.executed == 0 && p.cache_hits == 0) {
-    // Forced keep: every shard was routed away, but the merge (and a
-    // ranges gather) still needs one correctly-shaped partial. Shard 0 on
-    // its home device joins zero-contributing rows — the result is the
-    // same all-zero aggregate, bitwise.
-    p.device_of_shard[0] = 0;
-    --p.skipped;
-    ++p.hosted[0];
-    ++p.executed;
-  }
-  return p;
-}
-
-Result<QueryResult> Executor::ExecuteSharded(const SpatialAggQuery& query,
-                                             const ShardPlacement* placement) {
-  Timer total;
-  QueryResult out;
-
-  // Same preamble as the single-device path (PrepareQuery builds the
-  // shared preprocessing once; every shard reuses the cached soup/index —
-  // the polygon side of the join is identical across shards).
-  RJ_ASSIGN_OR_RETURN(QuerySetup setup, PrepareQuery(query));
-  if (!pool_->UniformFboLimit()) {
-    // Shards must rasterize on one pixel grid; a pool with mixed FBO
-    // limits would tile the canvas differently per shard.
-    return Status::InvalidArgument(
-        "sharded execution requires a uniform max_fbo_dim across the pool");
-  }
-
-  // Ranges gather (bounded variant only): shards export their point FBOs
-  // and the §5 classification runs once over the pixel-wise sum, which is
-  // bitwise identical to the single-device FBO — merging per-shard
-  // *intervals* instead would regroup the per-pixel area×count products
-  // and drift by FP rounding (see merge_partials.h).
-  const bool want_ranges = query.with_result_ranges &&
-                           setup.variant == JoinVariant::kBoundedRaster;
-
-  // Routing/cache/replica placement — planned here unless the caller
-  // (QueryService) already planned it to size the admission grant.
-  ShardPlacement local_placement;
-  if (placement == nullptr) {
-    RJ_ASSIGN_OR_RETURN(local_placement, PlanPlacement(query));
-    placement = &local_placement;
-  }
-  const ShardPlacement& place = *placement;
-
-  const std::size_t num_shards = shards_->num_shards();
-  std::vector<agg::ShardPartial> partials(num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
-  std::vector<std::optional<raster::Fbo>> shard_fbos(num_shards);
-
-  // Cached shards contribute their stored arrays as-is (bitwise identical
-  // to re-executing them); skipped shards stay default — zero-size arrays
-  // the merge skips by contract (merge_partials.h).
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (place.device_of_shard[s] == ShardPlacement::kCached) {
-      partials[s].arrays = place.cached[s]->arrays;
-    }
-  }
-
-  // --- Scatter: every placed shard joins on its device in parallel. ------
-  const auto run_shard = [&](std::size_t s) {
-    gpu::Device* dev = pool_->device(place.device_of_shard[s]);
-    const PointTable& shard_points = shards_->shard(s);
-    // The admission grant is per shard: each shard batches within its own
-    // device_memory_cap_bytes slice, independent of sibling shard sizes.
-    const UploadPlan capped = plan_cache_->GetUpload(
-        {query.device_memory_cap_bytes, setup.bytes_per_point,
-         shard_points.size(), query.overlap_transfers},
-        [&] {
-          return CappedBatch(query.device_memory_cap_bytes,
-                             setup.bytes_per_point, shard_points.size(),
-                             query.overlap_transfers);
-        });
-
-    Result<JoinResult> join =
-        RunVariant(dev, &shard_points, /*source=*/nullptr, setup.variant,
-                   query, setup.weight_column, capped, setup.soup,
-                   setup.cpu_index, setup.device_index,
-                   /*ranges_out=*/nullptr,
-                   want_ranges ? &shard_fbos[s] : nullptr);
-    if (!join.ok()) {
-      shard_status[s] = join.status();
-      return;
-    }
-    JoinResult shard_result = std::move(join).MoveValueUnsafe();
-    partials[s].arrays = std::move(shard_result.arrays);
-    partials[s].timing = shard_result.timing;
-  };
-
   // Routing metering lands on the primary device *before* the delta
-  // windows open, so the per-shard deltas below don't re-report it (the
-  // merged total then carries it exactly once via the explicit add after
-  // the merge).
-  device_->counters().AddShardsRouted(place.executed);
-  device_->counters().AddShardsSkipped(place.skipped);
+  // windows open, so the per-device deltas below don't re-report it (the
+  // total then carries it exactly once via the explicit add after them).
+  gpu::Device* primary = device();
+  primary->counters().AddShardsRouted(place.executed);
+  primary->counters().AddShardsSkipped(place.skipped);
 
   // Counter attribution is per *device*, not per shard: sibling shards on
   // one device would have overlapping delta windows (double-counting the
-  // shared work). The first *executing* shard on device d carries device
-  // d's whole delta — the merged total is the true pool delta (exact when
-  // no other query overlapped, the same contract as QueryStats). Devices
-  // with no executing shard get no window (nothing ran there).
-  const std::size_t npos = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> first_shard_on_device(pool_->size(), npos);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t d = place.device_of_shard[s];
-    if (d >= pool_->size()) continue;  // skipped or cached
-    if (first_shard_on_device[d] == npos) first_shard_on_device[d] = s;
-  }
-  std::vector<gpu::CountersSnapshot> before(pool_->size());
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    if (first_shard_on_device[d] != npos) {
+  // shared work). Each device with an executing shard gets one window —
+  // the total is the true pool delta (exact when no other query
+  // overlapped, the same contract as QueryStats).
+  std::vector<gpu::CountersSnapshot> before(num_devices);
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    if (place.hosted[d] > 0) {
       before[d] = pool_->device(d)->counters().Snapshot();
     }
   }
-  {
+  if (place.executed == 1) {
+    // One executing shard runs on the calling thread: no thread spawn, so
+    // an unsharded dataset costs what a plain join call costs.
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (executes(s)) run_shard(s);
+    }
+  } else {
     std::vector<std::thread> threads;
     threads.reserve(place.executed);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      if (place.device_of_shard[s] < pool_->size()) {
-        threads.emplace_back(run_shard, s);
-      }
+      if (executes(s)) threads.emplace_back(run_shard, s);
     }
     for (std::thread& t : threads) t.join();
   }
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    if (first_shard_on_device[d] != npos) {
-      partials[first_shard_on_device[d]].counters =
-          pool_->device(d)->counters().Snapshot().DeltaSince(before[d]);
+  gpu::CountersSnapshot counters;
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    if (place.hosted[d] > 0) {
+      counters = counters.Plus(
+          pool_->device(d)->counters().Snapshot().DeltaSince(before[d]));
     }
   }
+  counters.shards_routed += place.executed;
+  counters.shards_skipped += place.skipped;
 
   // First failure in shard order: error reporting stays deterministic no
   // matter which shard thread lost the race.
   for (const Status& st : shard_status) RJ_RETURN_NOT_OK(st);
 
-  // --- Gather: deterministic merge in ascending shard order. -------------
-  RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged, agg::MergePartials(partials));
-  out.arrays = std::move(merged.arrays);
-  out.values = FinalizeAggregate(query.aggregate, out.arrays);
-  out.timing = merged.timing;
-  out.counters = merged.counters;
-  out.counters.shards_routed += place.executed;
-  out.counters.shards_skipped += place.skipped;
-
-  // Store fresh per-shard partials for pans that re-cover these shards.
-  // Unconditional on success; the version stamp in the key keeps entries
-  // from outliving a dataset bump (mirrors the service's publish guard).
-  if (query.enable_shard_cache && !query.bypass_result_cache &&
-      result_cache_ != nullptr && !want_ranges) {
-    const query::CacheKey base_key = query::MakeCacheKey(
-        dataset_cache_key_, dataset_version(), query, setup.variant);
+  // --- Gather: per member, a deterministic merge in ascending shard order.
+  // Cached shards contribute their stored arrays as-is (bitwise identical
+  // to re-executing them); skipped shards stay default — zero-size arrays
+  // the merge skips by contract (merge_partials.h). Shard timings ride
+  // member 0's merge once; the group total is not multiplied per member.
+  const bool use_cache = UsesShardCache(queries, setup.variant);
+  std::vector<QueryResult> out(m);
+  PhaseTimer timing;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<agg::ShardPartial> partials(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      if (place.device_of_shard[s] >= pool_->size()) continue;
-      query::CacheKey key = base_key;
-      key.shard = s;
-      QueryResult partial;
-      partial.arrays = partials[s].arrays;
-      result_cache_->Insert(key, std::move(partial));
+      if (place.device_of_shard[s] == ShardPlacement::kCached) {
+        partials[s].arrays = place.cached[s][i]->arrays;
+      } else if (executes(s)) {
+        partials[s].arrays = std::move(shard_out[s].arrays[i]);
+        if (i == 0) partials[s].timing = shard_out[s].timing;
+      }
+    }
+    RJ_ASSIGN_OR_RETURN(agg::MergedPartials merged,
+                        agg::MergePartials(partials));
+    out[i].arrays = std::move(merged.arrays);
+    out[i].values = FinalizeAggregate(queries[i].aggregate, out[i].arrays);
+    if (i == 0) timing = merged.timing;
+    if (use_cache) {
+      // Store fresh per-shard partials for pans that re-cover these
+      // shards. The version stamp in the key keeps entries from outliving
+      // a dataset bump (mirrors the service's publish guard).
+      query::CacheKey key = query::MakeCacheKey(
+          dataset_cache_key_, dataset_version(), queries[i], setup.variant);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (!executes(s)) continue;
+        key.shard = s;
+        QueryResult partial;
+        partial.arrays = std::move(partials[s].arrays);
+        result_cache_->Insert(key, std::move(partial));
+      }
     }
   }
 
-  if (want_ranges) {
-    // The gather seed is the first executing shard's FBO — always present:
-    // the shard cache is disabled under want_ranges and forced keep
-    // guarantees at least one executing shard.
-    std::size_t first_fbo = npos;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (shard_fbos[s].has_value()) {
-        first_fbo = s;
-        break;
+  for (std::size_t i = 0; i < m; ++i) {
+    const FusedMemberSpec& member = setup.members[i];
+    if (member.compute_result_ranges) {
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (executes(s)) out[i].ranges = std::move(shard_out[s].ranges[i]);
       }
+      continue;
     }
-    if (first_fbo == npos) {
-      return Status::Internal("ranges gather found no shard FBO");
-    }
-    raster::Fbo gathered = std::move(*shard_fbos[first_fbo]);
-    shard_fbos[first_fbo].reset();
-    for (std::size_t s = first_fbo + 1; s < num_shards; ++s) {
-      // Accumulate and free shard by shard: canvases are multi-megabyte,
-      // so holding all S copies through the range pass would multiply the
-      // gather's transient footprint for nothing. Skipped shards exported
-      // no FBO — and an all-default FBO accumulates as the identity, so
-      // the gathered canvas equals the all-shard one bitwise.
-      if (!shard_fbos[s].has_value()) continue;
-      AccumulateFbo(&gathered, *shard_fbos[s]);
-      shard_fbos[s].reset();
+    if (!member.export_point_fbo) continue;
+    // Accumulate and free shard by shard: canvases are multi-megabyte, so
+    // holding all S copies through the range pass would multiply the
+    // gather's transient footprint for nothing. Every executing shard
+    // exported one (the shard cache is off under ranges); routed-away
+    // shards exported none — an all-default FBO accumulates as the
+    // identity, so the gathered canvas equals the all-shard one bitwise.
+    std::optional<raster::Fbo> gathered;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      std::optional<raster::Fbo>& fbo = shard_out[s].point_fbos[i];
+      if (!executes(s)) continue;
+      if (!gathered.has_value()) {
+        gathered = std::move(fbo);
+      } else {
+        AccumulateFbo(&*gathered, *fbo);
+      }
+      fbo.reset();
     }
     // Re-derive the (single-tile — the per-shard joins validated that)
     // canvas the shards rendered on.
     RJ_ASSIGN_OR_RETURN(
         std::vector<raster::CanvasTile> tiles,
-        raster::PlanCanvas(world_, query.epsilon,
-                           device_->options().max_fbo_dim));
+        raster::PlanCanvas(world_, queries[i].epsilon,
+                           primary->options().max_fbo_dim));
     raster::Viewport vp(tiles[0].world, tiles[0].width, tiles[0].height);
-    ScopedPhase sp(&out.timing, phase::kProcessing);
+    ScopedPhase sp(&timing, phase::kProcessing);
     // The range pass is part of this query's device work too: meter its
     // primary-device delta into the attributed counters, keeping the
     // "exact when no other query overlapped" contract (result.h).
-    const gpu::CountersSnapshot gather_before =
-        device_->counters().Snapshot();
+    const gpu::CountersSnapshot gather_before = primary->counters().Snapshot();
     RJ_ASSIGN_OR_RETURN(
-        out.ranges,
-        ComputeResultRanges(vp, *polys_, *setup.soup, gathered,
+        out[i].ranges,
+        ComputeResultRanges(vp, *polys_, *setup.soup, *gathered,
                             FinalizeAggregate(AggregateKind::kCount,
-                                              out.arrays),
-                            &device_->counters(), &device_->pool()));
-    out.counters = out.counters.Plus(
-        device_->counters().Snapshot().DeltaSince(gather_before));
+                                              out[i].arrays),
+                            &primary->counters(), &primary->pool()));
+    counters = counters.Plus(
+        primary->counters().Snapshot().DeltaSince(gather_before));
   }
 
-  out.total_seconds = total.ElapsedSeconds();
+  const double seconds = total.ElapsedSeconds();
+  for (QueryResult& r : out) {
+    r.timing = timing;
+    r.counters = counters;
+    r.total_seconds = seconds;
+  }
   return out;
 }
 

@@ -1,32 +1,36 @@
 /// \file executor.h
-/// \brief Query executor: prepares polygon data, dispatches to the chosen
-/// join operator, and finalizes the aggregate.
+/// \brief Query executor: prepares polygon data, places the query on the
+/// dataset's shards, runs the chosen join operator on each, and gathers.
 ///
 /// Owns the per-query polygon processing the paper measures in Table 1
 /// (triangulation for the raster variants, grid-index construction for the
-/// baselines) and the device(s) it executes on. Two execution shapes:
+/// baselines) and the device(s) it executes on.
 ///
-///  * single-device — the paper's setup: one gpu::Device runs the whole
-///    point set (batched when out of core);
-///  * sharded scatter-gather — a data::ShardedTable places shards onto
-///    gpu::DevicePool devices (home device s mod pool size; hot-shard read
-///    replicas widen the candidate set and the least-loaded candidate
-///    wins); each placed shard runs the full join on its own device in
-///    parallel and the partials merge through agg::MergePartials in
-///    ascending shard order, so results are bitwise identical to
-///    single-device execution for any shard/worker/replica count
-///    (docs/SERVICE.md "Determinism under sharding").
+/// One execution shape: a dataset is a list of shards, each a
+/// data::PointBlockSource plus its zone map and home device — the batched
+/// point stream the paper treats resident, out-of-core and disk-resident
+/// data as (§5). An in-memory table is one shard, a block file one disk
+/// shard, a data::ShardedTable one shard per partition (home device
+/// s mod pool size). Every query — solo or a fusion group — runs the same
+/// placement → scatter → ordered-merge path:
 ///
-/// Sharded execution is additionally skew- and locality-aware
-/// (PlanPlacement): shards whose zone map (data::ShardedTable::shard_zone)
-/// provably cannot contribute to the query — no bbox overlap with the
-/// query's padded canvas region, or no row can pass its filters — are
-/// skipped outright (join::ZoneMapCanMatch, the same conservative-exact
-/// test as block pruning), and shards whose partial for this semantic
-/// query is already cached reuse it without re-executing. Skipped and
-/// cached shards contribute canonical partials, so the merged result —
-/// including §5 pixel-summed ranges — stays bitwise identical to all-shard
-/// execution.
+///  * placement (PlanPlacement) skips shards whose zone map provably cannot
+///    contribute — no bbox overlap with the query's region (the polygon
+///    extent, padded by one canvas pixel for the raster variants), or no
+///    row can pass its filters (join::ZoneMapCanMatch, conservative-exact)
+///    — reuses cached per-shard partials, and picks each executing shard's
+///    device among its home and hot-shard read replicas (least loaded
+///    wins). Disk shards prune their blocks against the same region;
+///  * scatter runs each placed shard's join on its device — in parallel,
+///    or on the calling thread when exactly one shard executes;
+///  * gather merges partials through agg::MergePartials in ascending shard
+///    order, so results are bitwise identical for any shard, worker or
+///    replica count in the integer-weight regime (docs/SERVICE.md
+///    "Determinism under sharding").
+///
+/// Where shard kinds differ it is data, not a code path: a RAM shard cuts
+/// its rows into grant-sized batches per query, a disk shard streams its
+/// blocks as batches.
 ///
 /// Thread-safety contract (docs/SERVICE.md): one Executor may serve
 /// concurrent Execute() calls from many threads. The preprocessing caches
@@ -72,23 +76,23 @@ struct PlanCacheStats;
 /// referenced attribute columns, float32 each) and the fixed per-query
 /// uploads (the triangle VBO for the bounded raster variant).
 ///
-/// For a sharded executor these are **per-shard** figures: every shard
-/// uploads its own triangle VBO and runs its own batch pipeline on its
-/// device, so a device hosting k shards needs k× the grant
-/// (Executor::ShardsPerDevice gives the placement shape; QueryService
-/// multiplies).
+/// These are **per-shard** figures: every executing shard uploads its own
+/// triangle VBO and runs its own batch pipeline on its device, so a device
+/// hosting k executing shards needs k× the grant (ShardPlacement::hosted
+/// gives the shape; QueryService multiplies).
 struct AdmissionPlan {
   /// Interleaved VBO bytes per point (0 when the variant never touches
   /// device memory, e.g. the CPU index join).
   std::size_t bytes_per_point = 0;
   /// Batch-independent peak allocation (triangle VBO upload).
   std::size_t fixed_bytes = 0;
-  /// Smallest grant the query can make progress with: one-point batches
-  /// plus the fixed uploads. A query whose min_bytes exceed the device
-  /// budget can never run and must be rejected, not queued.
+  /// Smallest grant the query can make progress with: the smallest
+  /// batches its shards can take (one point for a RAM shard, one block for
+  /// a disk shard) plus the fixed uploads. A query whose min_bytes exceed
+  /// the device budget can never run and must be rejected, not queued.
   std::size_t min_bytes = 0;
-  /// Grant that holds the full point set (largest shard, when sharded)
-  /// resident (no batching).
+  /// Grant that needs no further batching: the largest RAM shard resident,
+  /// or (disk shards) the in-flight blocks.
   std::size_t full_bytes = 0;
 };
 
@@ -98,26 +102,25 @@ struct AdmissionPlan {
 /// CPU indexes are pre-built but device structures are per-query.
 class Executor {
  public:
-  /// Single-device executor. Neither `points` nor `polys` are copied; both
-  /// must outlive this. Polygon ids must be 0..n-1 (use AssignSequentialIds
-  /// if needed).
+  /// In-memory table: one RAM shard on `device`. Neither `points` nor
+  /// `polys` are copied; both must outlive this. Polygon ids must be
+  /// 0..n-1 (use AssignSequentialIds if needed).
   Executor(gpu::Device* device, const PointTable* points,
            const PolygonSet* polys);
 
-  /// Single-device executor over a block source (typically an mmap-backed
-  /// data::BlockFileReader — the disk-resident registration path). Every
-  /// query streams the source's zone-map-selected blocks through the
-  /// three-stage disk→host→device pipeline; results are bitwise identical
-  /// to an in-memory executor over data::MaterializeBlocks(*source).
-  /// Neither `source` nor `polys` are copied; both must outlive this.
+  /// Block source (typically an mmap-backed data::BlockFileReader — the
+  /// disk-resident registration path): one shard on `device` whose
+  /// region-selected blocks stream through the three-stage
+  /// disk→host→device pipeline; results are bitwise identical to an
+  /// in-memory executor over data::MaterializeBlocks(*source). Neither
+  /// `source` nor `polys` are copied; both must outlive this.
   Executor(gpu::Device* device, const data::PointBlockSource* source,
            const PolygonSet* polys);
 
-  /// Sharded executor: every Execute() scatters across `shards` (shard s
-  /// on pool device s mod pool->size()) and gathers via agg::MergePartials.
-  /// `pool`, `shards`, and `polys` must outlive this. The pool must have a
-  /// uniform max_fbo_dim (validated per query) so all shards rasterize on
-  /// one pixel grid.
+  /// Sharded table: one RAM shard per partition, shard s homed on pool
+  /// device s mod pool->size(). `pool`, `shards`, and `polys` must outlive
+  /// this. The pool must have a uniform max_fbo_dim (validated per query)
+  /// so all shards rasterize on one pixel grid.
   Executor(gpu::DevicePool* pool, const data::ShardedTable* shards,
            const PolygonSet* polys);
 
@@ -125,12 +128,12 @@ class Executor {
 
   /// Runs the query and returns finalized per-polygon values. Thread-safe;
   /// concurrent calls share the preprocessing caches. When
-  /// query.device_memory_cap_bytes is set, point batches are sized so the
-  /// query's device allocations stay within that grant (per shard, when
-  /// sharded). With a result cache attached (set_result_cache), repeats of
-  /// a semantically-equal query are served from the cache (single-flight:
-  /// concurrent identical queries execute once) with scrubbed diagnostics
-  /// and cache_hit set; the semantic payload is bitwise identical.
+  /// query.device_memory_cap_bytes is set, point batches are sized so each
+  /// shard's device allocations stay within that grant. With a result
+  /// cache attached (set_result_cache), repeats of a semantically-equal
+  /// query are served from the cache (single-flight: concurrent identical
+  /// queries execute once) with scrubbed diagnostics and cache_hit set;
+  /// the semantic payload is bitwise identical.
   Result<QueryResult> Execute(const SpatialAggQuery& query);
 
   /// Public-API form: validates the spec's column references against this
@@ -139,134 +142,135 @@ class Executor {
   Result<QueryResult> Execute(const QuerySpec& spec,
                               const ExecPolicy& policy = {});
 
-  /// Execute without consulting the whole-query result cache (always runs
-  /// the join; sharded executions still honor routing and the per-shard
-  /// partial cache unless the query disables them). The uncached baseline
-  /// for tests/benches, and the compute path a caching layer that does its
-  /// own key lookup (QueryService) wraps.
-  Result<QueryResult> ExecuteUncached(const SpatialAggQuery& query);
-
-  /// One query's shard placement: which shards execute (and where), which
-  /// are routing-skipped, and which reuse a cached partial. `hosted` is the
-  /// grant-multiplication shape for exactly the devices that will execute —
-  /// admission covers placed work only, never skipped or cached shards.
+  /// One query's (or fusion group's) shard placement: which shards
+  /// execute (and where), which are routing-skipped, and which reuse
+  /// cached partials. `hosted` is the grant-multiplication shape for
+  /// exactly the devices that will execute — admission covers placed work
+  /// only, never skipped or cached shards.
   struct ShardPlacement {
     /// Sentinels in `device_of_shard` for shards that do not execute.
     static constexpr std::size_t kSkipped = static_cast<std::size_t>(-1);
     static constexpr std::size_t kCached = static_cast<std::size_t>(-2);
-    /// Per shard: the pool device index that executes it, or a sentinel.
+    /// Per shard: the device index that executes it, or a sentinel.
     std::vector<std::size_t> device_of_shard;
-    /// Per shard: the pinned cached partial (non-null iff kCached). Pinned
-    /// at plan time so a concurrent eviction cannot strand the execution.
-    std::vector<std::shared_ptr<const QueryResult>> cached;
-    /// Executing shards per pool device, in device order — what
-    /// QueryService multiplies per-shard grants by (all-or-nothing
-    /// reservation over exactly the devices doing work, replicas included).
+    /// Per shard, per member: the pinned cached partials (set iff kCached).
+    /// Pinned at plan time so a concurrent eviction cannot strand the
+    /// execution.
+    std::vector<std::vector<std::shared_ptr<const QueryResult>>> cached;
+    /// Executing shards per device, in device order — what QueryService
+    /// multiplies per-shard grants by (all-or-nothing reservation over
+    /// exactly the devices doing work, replicas included).
     std::vector<std::size_t> hosted;
+    /// The query's spatial region: shards route and disk blocks prune
+    /// against it (see PruningRegion).
+    BBox region;
     std::size_t executed = 0;    ///< shards that will run a join
     std::size_t cache_hits = 0;  ///< shards served from the partial cache
     std::size_t skipped = 0;     ///< shards pruned by routing
   };
 
   /// Plans routing, per-shard cache reuse, and replica-aware device
-  /// placement for `query` (see the file comment). Unsharded executors
-  /// report the trivial single-device placement ({1} hosted). When every
-  /// shard would be skipped, shard 0 is kept on its home device so the
-  /// merge always sees one correctly-shaped partial. Thread-safe.
+  /// placement for a fusion group (see the file comment). A shard is
+  /// skipped only when no member can match it, and served from the cache
+  /// only when every member's partial is cached. When every shard would be
+  /// skipped, shard 0 is kept on its home device so the merge always sees
+  /// one correctly-shaped partial. Thread-safe.
+  Result<ShardPlacement> PlanFusedPlacement(
+      const std::vector<SpatialAggQuery>& queries);
+  /// PlanFusedPlacement of the group {query}.
   Result<ShardPlacement> PlanPlacement(const SpatialAggQuery& query);
 
-  /// ExecuteUncached against a placement already planned (and admitted) by
-  /// the caller — QueryService plans first so the grant covers exactly the
-  /// executing devices. `placement` may be null (plan internally); it must
-  /// come from PlanPlacement of a semantically-equal query.
-  Result<QueryResult> ExecuteUncached(const SpatialAggQuery& query,
-                                      const ShardPlacement* placement);
+  /// Executes a fusion group — compatible queries over this dataset (same
+  /// resolved variant; a group of two or more needs a raster variant with
+  /// equal ε for bounded or equal canvas_dim for accurate; aggregates,
+  /// filters and §5-range requests are free per member) — as ONE shared
+  /// scan per shard: one upload pipeline, one vertex stage per point,
+  /// per-member fragment accumulation targets (join/fused_join.h). A group
+  /// of one runs the member's own join, any variant. Returns one
+  /// QueryResult per query, in input order, each bitwise identical to
+  /// running that query alone — values, arrays, and §5 ranges — for any
+  /// worker/shard count.
+  ///
+  /// `placement` may be null (planned internally); otherwise it must come
+  /// from PlanFusedPlacement of a semantically-equal group — QueryService
+  /// plans first so the grant covers exactly the executing devices.
+  ///
+  /// Group-level diagnostics: timing, counters, and total_seconds describe
+  /// the shared execution and are replicated across members (per-member
+  /// attribution of a shared scan would be fiction). The first member's
+  /// execution knobs (device_memory_cap_bytes, overlap_transfers, routing,
+  /// pruning) govern the shared scan; knobs never change result bits.
+  /// Never consults the whole-query result cache.
+  Result<std::vector<QueryResult>> ExecuteFused(
+      const std::vector<SpatialAggQuery>& queries,
+      const ShardPlacement* placement = nullptr);
 
-  /// Installs the read-replica map: `replicas[s]` lists extra pool device
-  /// indexes that may execute shard s in addition to its home device
-  /// (s mod pool size). QueryService maintains this from its EWMA shard
-  /// heat; placement picks the least-loaded candidate. Replicas never
-  /// change result bits — every device runs the identical shard join.
-  /// Thread-safe; an empty vector (or entry) means home-only.
+  /// ExecuteFused of the group {query}: always runs the join (the whole-
+  /// query result cache is not consulted; routing and the per-shard
+  /// partial cache apply unless the query disables them). The uncached
+  /// baseline for tests/benches, and the compute path a caching layer
+  /// that does its own key lookup (QueryService) wraps.
+  Result<QueryResult> ExecuteUncached(const SpatialAggQuery& query,
+                                      const ShardPlacement* placement =
+                                          nullptr);
+
+  /// Installs the read-replica map: `replicas[s]` lists extra device
+  /// indexes that may execute shard s in addition to its home device.
+  /// QueryService maintains this from its EWMA shard heat; placement picks
+  /// the least-loaded candidate. Replicas never change result bits — every
+  /// device runs the identical shard join. Thread-safe; an empty vector
+  /// (or entry) means home-only.
   void SetShardReplicas(std::vector<std::vector<std::size_t>> replicas)
       RJ_EXCLUDES(replica_mutex_);
   std::vector<std::vector<std::size_t>> shard_replicas() const
       RJ_EXCLUDES(replica_mutex_);
 
-  /// Executes a fusion group — compatible queries over this dataset (same
-  /// resolved raster variant; equal ε for bounded, equal canvas_dim for
-  /// accurate; aggregates/filters/§5-range requests free per member) — as
-  /// ONE shared point scan: one upload pipeline, one vertex stage per
-  /// point, per-member fragment accumulation targets (join/fused_join.h).
-  /// Returns one QueryResult per query, in input order, each bitwise
-  /// identical to ExecuteUncached of that query alone — values, arrays,
-  /// and §5 ranges — for any worker/shard count.
-  ///
-  /// Group-level diagnostics: timing, counters, and total_seconds describe
-  /// the shared execution and are replicated across members (per-member
-  /// attribution of a shared scan would be fiction). The first member's
-  /// execution knobs (device_memory_cap_bytes, overlap_transfers) govern
-  /// the shared pipeline — the service reserves one grant for the whole
-  /// group and stamps it on every member; knobs never change result bits.
-  /// A single-member group degenerates to ExecuteUncached. Never consults
-  /// the result cache (the service layers caching per member on top).
-  Result<std::vector<QueryResult>> ExecuteFused(
-      const std::vector<SpatialAggQuery>& queries);
-
-  /// Admission footprint of a fusion group: PlanAdmission arithmetic with
-  /// the upload stride of the UNION of all members' referenced columns
-  /// (the fused scan ships one interleaved VBO covering every member — see
-  /// FusedUploadColumns). Per shard, when sharded, like PlanAdmission.
+  /// Admission footprint of a fusion group, per shard: the upload stride
+  /// of the UNION of all members' referenced columns (the shared scan
+  /// ships one interleaved VBO covering every member — see
+  /// FusedUploadColumns), the triangle VBO for the bounded variant, and
+  /// each shard's batch rule (grant-sized for RAM shards, one block for
+  /// disk shards). Builds (and caches) the triangulation when the bounded
+  /// variant needs its VBO size. Thread-safe.
   Result<AdmissionPlan> PlanFusedAdmission(
       const std::vector<SpatialAggQuery>& queries);
+  /// PlanFusedAdmission of the group {query}.
+  Result<AdmissionPlan> PlanAdmission(const SpatialAggQuery& query);
 
   /// Resolves kAuto to a concrete variant via the cost model; other
   /// variants pass through unchanged.
   JoinVariant ResolveVariant(const SpatialAggQuery& query) const;
 
-  /// Device-memory footprint of `query` for admission control (per shard,
-  /// when sharded). Builds (and caches) the triangulation when the
-  /// resolved variant needs its VBO size. Thread-safe.
-  Result<AdmissionPlan> PlanAdmission(const SpatialAggQuery& query);
-
-  /// True when Execute() takes the scatter-gather path.
-  bool sharded() const { return shards_ != nullptr; }
-  std::size_t num_shards() const {
-    return sharded() ? shards_->num_shards() : 1;
-  }
-  /// Device that executes shard s (the pool wraps around when there are
-  /// more shards than devices).
-  gpu::Device* shard_device(std::size_t s) const {
-    return sharded() ? pool_->device(s % pool_->size()) : device_;
-  }
-  /// Shards hosted per pool device, in device order — the placement shape
-  /// the admission controller multiplies per-shard grants by. A
-  /// single-device executor reports {1}.
-  std::vector<std::size_t> ShardsPerDevice() const;
+  std::size_t num_shards() const { return shards_.size(); }
+  /// Devices shards execute on (the pool, or the one device).
+  std::size_t num_devices() const { return pool_->size(); }
 
   /// World extent used for the canvas: polygon extent ∪ point extent.
   const BBox& world() const { return world_; }
 
-  /// The full point table (null for a sharded or source-backed executor —
-  /// rows live in the shards / on disk).
-  const PointTable* points() const { return points_; }
-  /// The block source (null unless constructed over one).
-  const data::PointBlockSource* block_source() const { return source_; }
-  /// True when queries scan a block source instead of a resident table.
-  bool source_backed() const { return source_ != nullptr; }
+  /// The object this executor was constructed over (point table, block
+  /// source, or sharded table): the dataset identity QueryService
+  /// deduplicates re-registrations by.
+  const void* backing() const { return backing_; }
+  /// The block source, when constructed over one; null otherwise.
+  const data::PointBlockSource* block_source() const {
+    return shards_.size() == 1 && shards_[0].table == nullptr
+               ? shards_[0].source
+               : nullptr;
+  }
+  /// Rows across every shard.
+  std::size_t num_points() const { return num_points_; }
+  /// True when some shard's blocks live on disk.
+  bool disk_resident() const;
   /// Attribute columns of the dataset (uniform across shards), the bound
   /// submit-time validation checks filter/aggregate columns against.
   std::size_t num_attribute_columns() const {
-    if (sharded()) return shards_->shard(0).num_attributes();
-    return source_backed() ? source_->num_attributes()
-                           : points_->num_attributes();
+    return shards_[0].source->num_attributes();
   }
   const PolygonSet* polys() const { return polys_; }
-  /// Single-device: the device. Sharded: the pool's primary device (hosts
+  /// Device 0: the single device, or the pool's primary device (hosts
   /// gather-phase work such as the result-range recomputation).
-  gpu::Device* device() const { return device_; }
-  gpu::DevicePool* device_pool() const { return pool_; }
-  const data::ShardedTable* shards() const { return shards_; }
+  gpu::Device* device() const { return pool_->primary(); }
 
   /// Cached triangulation (built on first raster-variant query).
   [[nodiscard]] Result<const TriangleSoup*> GetTriangulation()
@@ -289,9 +293,10 @@ class Executor {
   CostModelParams* cost_params() { return &cost_params_; }
 
   /// Attaches a (non-owning, shared) result cache; Execute() then serves
-  /// repeated queries from it. `dataset_key` is this dataset's identity
-  /// within the cache (several executors may share one cache under
-  /// distinct keys). Not synchronized: attach before serving traffic.
+  /// repeated queries from it, and multi-shard executions keep per-shard
+  /// partials in it. `dataset_key` is this dataset's identity within the
+  /// cache (several executors may share one cache under distinct keys).
+  /// Not synchronized: attach before serving traffic.
   void set_result_cache(query::ResultCache* cache,
                         std::uint64_t dataset_key = 0) {
     result_cache_ = cache;
@@ -301,8 +306,8 @@ class Executor {
   std::uint64_t dataset_cache_key() const { return dataset_cache_key_; }
 
   /// Monotone dataset version, part of every cache key: bump it whenever
-  /// the underlying data changes (streaming appends, re-registration) and
-  /// all prior cached results become unreachable (they age out of the
+  /// the underlying data changes (re-registration, out-of-band mutation)
+  /// and all prior cached results become unreachable (they age out of the
   /// LRU). BumpDatasetVersion also drops the memoized admission/batch
   /// plans, whose full-working-set term depends on the point count.
   /// Thread-safe.
@@ -310,95 +315,92 @@ class Executor {
     return dataset_version_.load(std::memory_order_acquire);
   }
   void BumpDatasetVersion();
-  /// The raw counter, for wiring into mutators that must invalidate on
-  /// write (Streaming*Join::set_version_counter). Streaming appends don't
-  /// change the registered table the plan cache is sized against, so the
-  /// bare-counter bump (no plan-cache clear) is sufficient there.
-  std::atomic<std::uint64_t>* dataset_version_counter() {
-    return &dataset_version_;
-  }
 
   /// Plan-cache counters (admission/batch-plan memoization hits).
   query::PlanCacheStats plan_cache_stats() const;
 
  private:
-  /// Shared constructor tail: world extent and cost-model inputs.
-  void InitWorldAndCosts(const BBox& points_extent, std::size_t num_points);
+  /// One partition of the dataset.
+  struct Shard {
+    const data::PointBlockSource* source = nullptr;
+    /// RAM shards: the rows, re-cut per query into grant-sized batches.
+    /// Null for block sources, whose blocks are the batches.
+    const PointTable* table = nullptr;
+    /// Routing zone map; null = never skipped.
+    const data::BlockZoneMap* zone = nullptr;
+    std::size_t home = 0;  ///< device index
+  };
 
-  /// Per-query preamble shared by both execution paths: aggregate
-  /// validation, variant resolution, upload stride, and the preprocessing
-  /// the resolved variant needs (triangulation / CPU index). One copy, so
-  /// sharded and single-device behavior cannot drift.
-  struct QuerySetup {
-    std::size_t weight_column = PointTable::npos;
+  /// Per-group preamble: aggregate validation, variant resolution and
+  /// group compatibility, the union upload stride, and the preprocessing
+  /// the resolved variant needs (triangulation / CPU index).
+  struct GroupSetup {
     JoinVariant variant = JoinVariant::kAuto;
-    std::size_t bytes_per_point = 0;
+    std::vector<FusedMemberSpec> members;
+    /// Union upload stride (0 for kIndexCpu, which uploads nothing).
+    std::size_t stride = 0;
     const TriangleSoup* soup = nullptr;       ///< raster variants
     const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
     const GridIndex* device_index = nullptr;  ///< kIndexDevice (prebuilt)
   };
-  Result<QuerySetup> PrepareQuery(const SpatialAggQuery& query);
 
-  /// The query's effective spatial region for shard routing: the polygon
-  /// set's extent inflated by one canvas pixel for the raster variants
-  /// (a contributing point's pixel must touch a polygon-covered pixel, so
-  /// it lies within one pixel of the polygon extent; the index variants
-  /// are PIP-exact and need no pad). Conservative by construction — a
-  /// shard outside this region provably contributes nothing.
-  Result<BBox> RoutingRegion(JoinVariant variant,
-                             const SpatialAggQuery& query);
+  /// Shared constructor head: the device pool, polygons, plan cache.
+  Executor(std::unique_ptr<gpu::DevicePool> owned_pool,
+           gpu::DevicePool* pool, const PolygonSet* polys);
+  /// Shared constructor tail: world extent and cost-model inputs.
+  void InitWorldAndCosts(const BBox& points_extent);
+  /// Appends a RAM shard over `table` (routing zone `zone`, may be null).
+  void AddTableShard(const PointTable* table,
+                     const data::BlockZoneMap* zone, std::size_t home);
 
-  /// Runs one (device, input) pair through the resolved variant — the
-  /// single variant-dispatch switch shared by the single-device path,
-  /// every shard of the scatter path, and the block-source path, so
-  /// per-variant option wiring cannot drift between them. Exactly one of
-  /// `points`/`source` is non-null (the source dispatch threads
-  /// query.enable_block_pruning into the join's block selection). `soup`
-  /// is required for the raster variants, `cpu_index` for kIndexCpu,
-  /// `device_index` is the (optional) prebuilt index for kIndexDevice;
-  /// `ranges_out`/`point_fbo_out` are the bounded variant's optional
-  /// outputs.
-  Result<JoinResult> RunVariant(gpu::Device* device, const PointTable* points,
-                                const data::PointBlockSource* source,
-                                JoinVariant variant,
+  Result<GroupSetup> PrepareGroup(
+      const std::vector<SpatialAggQuery>& queries);
+
+  /// True when the group reads and writes per-shard partials: a
+  /// multi-shard dataset with a cache attached, and every member
+  /// cacheable (a §5-ranges member needs the shard FBOs, which are not
+  /// stored; a bypass must not read stale entries either).
+  bool UsesShardCache(const std::vector<SpatialAggQuery>& queries,
+                      JoinVariant variant) const;
+
+  /// The query's spatial region, computed once per query for shard routing
+  /// and disk-block pruning alike: the polygon set's extent inflated by
+  /// one canvas pixel for the raster variants (a contributing point's
+  /// pixel must touch a polygon-covered pixel, so it lies within one
+  /// pixel of the polygon extent; the index variants are PIP-exact and
+  /// need no pad). Conservative by construction — rows outside this
+  /// region provably contribute nothing.
+  Result<BBox> PruningRegion(JoinVariant variant,
+                             const SpatialAggQuery& query) const;
+
+  /// Runs the group's join over one shard on `device`: picks the shard's
+  /// scan (grant-sized batches of a RAM shard, or the region-selected
+  /// blocks of a disk shard), then the fused join for a group of two or
+  /// more, the member's own join (RunVariant) for a group of one.
+  Result<FusedJoinOutput> JoinShard(gpu::Device* device, const Shard& shard,
+                                    const GroupSetup& setup,
+                                    const std::vector<SpatialAggQuery>& queries,
+                                    const BBox& region);
+
+  /// The single variant-dispatch switch: one member over blocks `scan` of
+  /// `source`. `member` carries the ranges/FBO-export requests.
+  Result<JoinResult> RunVariant(gpu::Device* device,
+                                const data::PointBlockSource& source,
+                                std::vector<std::size_t> scan, bool overlap,
+                                const GroupSetup& setup,
                                 const SpatialAggQuery& query,
-                                std::size_t weight_column,
-                                const UploadPlan& capped,
-                                const TriangleSoup* soup,
-                                const GridIndex* cpu_index,
-                                const GridIndex* device_index,
+                                const FusedMemberSpec& member,
                                 ResultRanges* ranges_out,
                                 std::optional<raster::Fbo>* point_fbo_out);
 
-  /// The scatter-gather path (sharded executors only). `placement` may be
-  /// null (planned internally).
-  Result<QueryResult> ExecuteSharded(const SpatialAggQuery& query,
-                                     const ShardPlacement* placement);
-
-  /// Scatter-gather for a fusion group: per-shard fused joins, then a
-  /// per-member merge in ascending shard order (plus per-member point-FBO
-  /// gathers for §5 ranges) — the fused mirror of ExecuteSharded.
-  Result<std::vector<QueryResult>> ExecuteFusedSharded(
-      const std::vector<SpatialAggQuery>& queries,
-      const std::vector<FusedMemberSpec>& members, JoinVariant variant,
-      const TriangleSoup* soup);
-
-  /// Points the batch planner sizes against: the whole table, the largest
-  /// shard (each device holds at most its shards), or — source-backed —
-  /// the full row count (admission separately caps batches at the block
-  /// capacity; see PlanAdmission).
-  std::size_t PlanningPointCount() const {
-    if (sharded()) return shards_->max_shard_points();
-    return source_backed() ? static_cast<std::size_t>(source_->num_rows())
-                           : points_->size();
-  }
-
-  gpu::Device* device_;
-  gpu::DevicePool* pool_ = nullptr;
-  const data::ShardedTable* shards_ = nullptr;
-  const PointTable* points_;
-  const data::PointBlockSource* source_ = nullptr;
+  std::unique_ptr<gpu::DevicePool> owned_pool_;  ///< single-device ctors
+  gpu::DevicePool* pool_;
   const PolygonSet* polys_;
+  std::vector<Shard> shards_;
+  /// Sources of the RAM shards (their Shard::source points here).
+  std::vector<std::unique_ptr<data::TableBlockSource>> table_sources_;
+  std::size_t num_points_ = 0;
+  const void* backing_ = nullptr;  ///< see backing()
   query::ResultCache* result_cache_ = nullptr;
   std::uint64_t dataset_cache_key_ = 0;
   std::atomic<std::uint64_t> dataset_version_{0};
@@ -406,6 +408,7 @@ class Executor {
   /// queries (internally synchronized; see result_cache.h).
   std::unique_ptr<query::PlanCache> plan_cache_;
   BBox world_;
+  BBox polygon_extent_;
   CostModelParams cost_params_;
   /// Computed once at construction (datasets are immutable); makes kAuto
   /// resolution O(1) on the per-query dispatch path.
@@ -428,7 +431,7 @@ class Executor {
       RJ_GUARDED_BY(prep_mutex_);
 
   /// Guards the replica map (written by QueryService's heat tracker while
-  /// queries are in flight; read by every PlanPlacement).
+  /// queries are in flight; read by every placement).
   mutable Mutex replica_mutex_;
   std::vector<std::vector<std::size_t>> shard_replicas_
       RJ_GUARDED_BY(replica_mutex_);

@@ -23,7 +23,7 @@
 ///    once: the first becomes the leader and computes, the rest block on
 ///    the in-flight entry and share the leader's result (or its error);
 ///  * **invalidation** — the key carries a per-dataset version counter
-///    (bumped by Streaming*Join::AddBatch and dataset re-registration), so
+///    (bumped by BumpDatasetVersion: re-registration, invalidation), so
 ///    mutated datasets miss naturally; stale-version entries age out of
 ///    the LRU.
 ///

@@ -73,49 +73,44 @@ void QueryService::Shutdown() {
   });
 }
 
-namespace {
-/// Index of the executor registered for the same backing tables, or npos.
-/// `points`/`shards` are matched as identity pointers (one of them null
-/// depending on the registration shape).
-std::size_t FindDatasetLocked(
-    const std::vector<std::unique_ptr<Executor>>& executors,
-    const PointTable* points, const data::ShardedTable* shards,
-    const PolygonSet* polys) {
-  for (std::size_t id = 0; id < executors.size(); ++id) {
-    if (executors[id]->points() == points &&
-        executors[id]->shards() == shards &&
-        executors[id]->polys() == polys) {
+std::size_t QueryService::AddDataset(
+    std::unique_ptr<Executor> executor, std::string name,
+    std::unique_ptr<data::PointBlockSource> owned_source) {
+  // Re-registration: the same backing data and polygons ⇒ the same dataset
+  // id, but the caller is announcing a change — bump the version so cached
+  // results for the previous contents stop matching. A file registration
+  // opens a fresh source, so it never matches and always mints a new id.
+  // The executor is constructed optimistically outside mutex_ (it scans
+  // the polygon set) and the find-or-insert decision is a single critical
+  // section, so two racing registrations of the same pair cannot mint two
+  // ids.
+  MutexLock lock(mutex_);
+  for (std::size_t id = 0; id < executors_.size(); ++id) {
+    const Executor& e = *executors_[id];
+    if (e.backing() == executor->backing() &&
+        e.polys() == executor->polys()) {
+      executors_[id]->BumpDatasetVersion();
+      if (!name.empty()) dataset_names_[id] = std::move(name);
       return id;
     }
   }
-  return static_cast<std::size_t>(-1);
-}
-}  // namespace
-
-std::size_t QueryService::RegisterDataset(const PointTable* points,
-                                          const PolygonSet* polys,
-                                          std::string name) {
-  // Re-registration: same backing tables ⇒ same dataset id, but the
-  // caller is announcing a change — bump the version so cached results
-  // for the previous contents stop matching. The executor is constructed
-  // optimistically outside mutex_ (it scans the polygon set) and the
-  // find-or-insert decision is a single critical section, so two racing
-  // registrations of the same pair cannot mint two ids.
-  auto executor = std::make_unique<Executor>(pool_->primary(), points, polys);
-  MutexLock lock(mutex_);
-  const std::size_t existing =
-      FindDatasetLocked(executors_, points, nullptr, polys);
-  if (existing != static_cast<std::size_t>(-1)) {
-    executors_[existing]->BumpDatasetVersion();
-    if (!name.empty()) dataset_names_[existing] = std::move(name);
-    return existing;
-  }
   executors_.push_back(std::move(executor));
+  if (owned_source != nullptr) {
+    owned_sources_.push_back(std::move(owned_source));
+  }
   const std::size_t id = executors_.size() - 1;
   AttachCacheLocked(id);
   dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
                                         : std::move(name));
   return id;
+}
+
+std::size_t QueryService::RegisterDataset(const PointTable* points,
+                                          const PolygonSet* polys,
+                                          std::string name) {
+  return AddDataset(
+      std::make_unique<Executor>(pool_->primary(), points, polys),
+      std::move(name), nullptr);
 }
 
 void QueryService::AttachCacheLocked(std::size_t id) {
@@ -145,39 +140,16 @@ Result<std::size_t> QueryService::RegisterDatasetFromFile(
     const std::string& path, const PolygonSet* polys, std::string name) {
   RJ_ASSIGN_OR_RETURN(std::unique_ptr<data::PointBlockSource> source,
                       data::OpenPointBlockSource(path));
-  // Each open mints a fresh source (and id): identity-dedupe like
-  // RegisterDataset has nothing to key on, and re-registering a path is a
-  // deliberate reload — the old id keeps serving its (still-mapped) file.
   auto executor =
       std::make_unique<Executor>(pool_->primary(), source.get(), polys);
-  MutexLock lock(mutex_);
-  executors_.push_back(std::move(executor));
-  owned_sources_.push_back(std::move(source));
-  const std::size_t id = executors_.size() - 1;
-  AttachCacheLocked(id);
-  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
-                                        : std::move(name));
-  return id;
+  return AddDataset(std::move(executor), std::move(name), std::move(source));
 }
 
 std::size_t QueryService::RegisterShardedDataset(
     const data::ShardedTable* shards, const PolygonSet* polys,
     std::string name) {
-  auto executor = std::make_unique<Executor>(pool_, shards, polys);
-  MutexLock lock(mutex_);
-  const std::size_t existing =
-      FindDatasetLocked(executors_, nullptr, shards, polys);
-  if (existing != static_cast<std::size_t>(-1)) {
-    executors_[existing]->BumpDatasetVersion();
-    if (!name.empty()) dataset_names_[existing] = std::move(name);
-    return existing;
-  }
-  executors_.push_back(std::move(executor));
-  const std::size_t id = executors_.size() - 1;
-  AttachCacheLocked(id);
-  dataset_names_.push_back(name.empty() ? "dataset-" + std::to_string(id)
-                                        : std::move(name));
-  return id;
+  return AddDataset(std::make_unique<Executor>(pool_, shards, polys),
+                    std::move(name), nullptr);
 }
 
 Result<std::size_t> QueryService::ResolveDataset(
@@ -199,16 +171,10 @@ std::vector<DatasetInfo> QueryService::ListDatasets() const {
     DatasetInfo info;
     info.id = id;
     info.name = dataset_names_[id];
-    info.sharded = e.sharded();
+    info.sharded = e.num_shards() > 1;
     info.num_shards = e.num_shards();
-    if (e.sharded()) {
-      info.num_points = e.shards()->total_points();
-    } else if (e.source_backed()) {
-      info.num_points = static_cast<std::size_t>(e.block_source()->num_rows());
-      info.disk_resident = e.block_source()->disk_resident();
-    } else {
-      info.num_points = e.points()->size();
-    }
+    info.num_points = e.num_points();
+    info.disk_resident = e.disk_resident();
     info.num_polygons = e.polys()->size();
     info.num_attribute_columns = e.num_attribute_columns();
     info.version = e.dataset_version();
@@ -359,11 +325,11 @@ void QueryService::DispatchLoop(std::size_t slot) {
 }
 
 void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
+  // Reserve first: `head` refers into the vector, which must not
+  // reallocate while members are appended below.
+  group->reserve(options_.max_fusion_group_size);
   const Pending& head = group->front();
   Executor* executor = executors_[head.dataset].get();
-  if (executor->source_backed()) {
-    return;  // disk scans stream blocks solo (no shared resident scan)
-  }
   const JoinVariant head_variant = executor->ResolveVariant(head.query);
   if (head_variant != JoinVariant::kBoundedRaster &&
       head_variant != JoinVariant::kAccurateRaster) {
@@ -397,62 +363,46 @@ void QueryService::CollectFusionGroupLocked(std::vector<Pending>* group) {
 }
 
 void QueryService::RunQuery(Pending pending) {
-  QueryStats stats;
-  stats.sequence = pending.sequence;
-  stats.dispatch_order = pending.dispatch_order;
-
   Executor* executor = dataset_executor(pending.dataset);
   // Registration precedes submission validation, so this cannot be null.
-
-  if (cache_ != nullptr && !pending.query.bypass_result_cache) {
-    // Cached path. The key is the query's semantic identity (dataset id +
-    // version, aggregate/filters/variant/ε/canvas/ranges — execution knobs
-    // excluded); a hit — fast lookup or single-flight share of a running
-    // identical query — bypasses admission entirely: no grant, no
-    // capacity queueing, no device work. Only a miss's leader enters
-    // AdmitAndExecute, which fills the grant/counter fields of `stats`.
-    Timer fetch;
-    const query::CacheKey key = query::MakeCacheKey(
-        pending.dataset, executor->dataset_version(), pending.query,
-        executor->ResolveVariant(pending.query));
-    bool hit = false;
-    Result<std::shared_ptr<const QueryResult>> shared = cache_->GetOrCompute(
-        key, [&] { return AdmitAndExecute(executor, pending, &stats); },
-        &hit,
-        // Publish guard: a version bump during the flight means the key no
-        // longer describes the live dataset — hand the result to this
-        // flight's waiters but do not let later lookups hit it.
-        [&] { return executor->dataset_version() == key.version; });
-    if (!shared.ok()) {
-      Respond(&pending, shared.status(), stats);
-      return;
-    }
-    QueryResult out = *shared.value();
-    if (hit) {
-      // Fresh per-query stats: a hit must not replay the miss's grants,
-      // phase timings, or counter windows (it did none of that work).
-      stats.cache_hit = true;
-      stats.granted_bytes = 0;
-      stats.granted_bytes_per_device.assign(pool_->size(), 0);
-      stats.queue_seconds = pending.queued.ElapsedSeconds();
-      stats.execute_seconds = fetch.ElapsedSeconds();
-      const gpu::CountersSnapshot now = pool_->TotalCounters();
-      stats.device_counters_before = now;
-      stats.device_counters_after = now;
-      out.cache_hit = true;
-      out.timing = PhaseTimer();
-      out.counters = gpu::CountersSnapshot();
-      out.total_seconds = fetch.ElapsedSeconds();
-    }
-    Respond(&pending, std::move(out), stats);
+  QueryStats stats;
+  std::optional<Timer> exec_started;
+  const auto execute = [&]() -> Result<QueryResult> {
+    RJ_ASSIGN_OR_RETURN(
+        std::vector<QueryResult> results,
+        AdmitAndExecute(executor, {pending.query}, &stats, &exec_started));
+    return std::move(results[0]);
+  };
+  if (cache_ == nullptr || pending.query.bypass_result_cache) {
+    Result<QueryResult> result = execute();
+    Respond(&pending, std::move(result), stats, exec_started);
     return;
   }
 
-  // Sequence the execution before the call: AdmitAndExecute fills `stats`
-  // through the pointer, and function-argument evaluation order would
-  // otherwise be free to copy `stats` first.
-  Result<QueryResult> result = AdmitAndExecute(executor, pending, &stats);
-  Respond(&pending, std::move(result), stats);
+  // Cached path. The key is the query's semantic identity (dataset id +
+  // version, aggregate/filters/variant/ε/canvas/ranges — execution knobs
+  // excluded); a hit — fast lookup or single-flight share of a running
+  // identical query — bypasses admission entirely: no grant, no capacity
+  // queueing, no device work. Only a miss's leader enters AdmitAndExecute,
+  // which fills the grant/counter fields of `stats`.
+  Timer fetch;
+  const query::CacheKey key = query::MakeCacheKey(
+      pending.dataset, executor->dataset_version(), pending.query,
+      executor->ResolveVariant(pending.query));
+  bool hit = false;
+  Result<std::shared_ptr<const QueryResult>> shared = cache_->GetOrCompute(
+      key, execute, &hit,
+      // Publish guard: a version bump during the flight means the key no
+      // longer describes the live dataset — hand the result to this
+      // flight's waiters but do not let later lookups hit it.
+      [&] { return executor->dataset_version() == key.version; });
+  if (!shared.ok()) {
+    Respond(&pending, shared.status(), stats, exec_started);
+  } else if (hit) {
+    RespondHit(&pending, *shared.value(), fetch);
+  } else {
+    Respond(&pending, *shared.value(), stats, exec_started);
+  }
 }
 
 void QueryService::RunGroup(std::vector<Pending> group) {
@@ -475,24 +425,7 @@ void QueryService::RunGroup(std::vector<Pending> group) {
           p.dataset, executor->dataset_version(), p.query,
           executor->ResolveVariant(p.query));
       if (std::shared_ptr<const QueryResult> shared = cache_->Lookup(key)) {
-        // Same scrub as the solo hit path: a hit did no device work and
-        // never reports the original miss's grants or counters.
-        QueryStats stats;
-        stats.sequence = p.sequence;
-        stats.dispatch_order = p.dispatch_order;
-        stats.cache_hit = true;
-        stats.granted_bytes_per_device.assign(pool_->size(), 0);
-        stats.queue_seconds = p.queued.ElapsedSeconds();
-        stats.execute_seconds = fetch.ElapsedSeconds();
-        const gpu::CountersSnapshot now = pool_->TotalCounters();
-        stats.device_counters_before = now;
-        stats.device_counters_after = now;
-        QueryResult out = *shared;
-        out.cache_hit = true;
-        out.timing = PhaseTimer();
-        out.counters = gpu::CountersSnapshot();
-        out.total_seconds = fetch.ElapsedSeconds();
-        Respond(&p, std::move(out), stats);
+        RespondHit(&p, *shared, fetch);
         continue;
       }
       misses.push_back(std::move(p));
@@ -535,59 +468,13 @@ void QueryService::RunGroup(std::vector<Pending> group) {
     queries.push_back(misses[leader].query);
   }
 
-  const auto fail_all = [&](const Status& status) {
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-      QueryStats stats;
-      stats.sequence = misses[i].sequence;
-      stats.dispatch_order = misses[i].dispatch_order;
-      stats.fused_group_size = queries.size();
-      stats.queue_seconds = misses[i].queued.ElapsedSeconds();
-      Respond(&misses[i], status, stats);
-    }
-  };
-
-  // --- Phase C: fused admission — ONE grant for the whole group, sized by
-  // the union upload plan (PlanFusedAdmission), instead of N per-member
-  // grants. The group then executes as one shared scan.
-  Result<AdmissionPlan> plan = executor->PlanFusedAdmission(queries);
-  if (!plan.ok()) {
-    fail_all(plan.status());
-    return;
-  }
-  const std::vector<std::size_t> hosted = executor->ShardsPerDevice();
-  std::size_t per_shard_grant = 0;
-  Result<gpu::PoolReservation> acquired =
-      AcquireGrant(plan.value(), hosted, &per_shard_grant);
-  if (!acquired.ok()) {
-    fail_all(acquired.status());
-    return;
-  }
-  gpu::PoolReservation grant = std::move(acquired).MoveValueUnsafe();
-  const std::size_t granted_total = grant.total_bytes();
-  std::vector<std::size_t> granted_per_device(pool_->size(), 0);
-  for (std::size_t d = 0; d < pool_->size(); ++d) {
-    granted_per_device[d] = grant.bytes_on(d);
-  }
-
-  for (SpatialAggQuery& q : queries) {
-    q.device_memory_cap_bytes = per_shard_grant;
-  }
-  const gpu::CountersSnapshot before = pool_->TotalCounters();
-  Timer exec;
-  Result<std::vector<QueryResult>> fused = executor->ExecuteFused(queries);
-  const double execute_seconds = exec.ElapsedSeconds();
-  const gpu::CountersSnapshot after = pool_->TotalCounters();
-
-  if (grant.active()) {
-    grant.Release();
-    // Empty critical section pairs with the waiters' locked try/wait cycle
-    // so the notify cannot be lost.
-    { MutexLock lock(mutex_); }
-    cv_capacity_.NotifyAll();
-  }
-
+  // --- Phase C: the group executes as one shared scan under ONE grant.
+  QueryStats stats;
+  std::optional<Timer> exec_started;
+  Result<std::vector<QueryResult>> fused =
+      AdmitAndExecute(executor, std::move(queries), &stats, &exec_started);
   if (!fused.ok()) {
-    fail_all(fused.status());
+    for (Pending& p : misses) Respond(&p, fused.status(), stats, exec_started);
     return;
   }
   std::vector<QueryResult>& results = fused.value();
@@ -599,21 +486,11 @@ void QueryService::RunGroup(std::vector<Pending> group) {
   // computed against version V is never published after a bump.
   for (std::size_t i = 0; i < misses.size(); ++i) {
     QueryResult out = results[slot_of[i]];
-    QueryStats stats;
-    stats.sequence = misses[i].sequence;
-    stats.dispatch_order = misses[i].dispatch_order;
-    stats.fused_group_size = queries.size();
-    stats.queue_seconds = misses[i].queued.ElapsedSeconds();
-    stats.execute_seconds = execute_seconds;
-    stats.granted_bytes = granted_total;
-    stats.granted_bytes_per_device = granted_per_device;
-    stats.device_counters_before = before;
-    stats.device_counters_after = after;
     if (cacheable[i] && i == slot_leader[slot_of[i]] &&
         executor->dataset_version() == keys[i].version) {
       cache_->Insert(keys[i], out);
     }
-    Respond(&misses[i], std::move(out), stats);
+    Respond(&misses[i], std::move(out), stats, exec_started);
   }
 }
 
@@ -679,11 +556,13 @@ Result<gpu::PoolReservation> QueryService::AcquireGrant(
   }
 }
 
-Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
-                                                  const Pending& pending,
-                                                  QueryStats* stats) {
-  // --- Admission: size and reserve per-device memory grants. -------------
-  Result<AdmissionPlan> plan = executor->PlanAdmission(pending.query);
+Result<std::vector<QueryResult>> QueryService::AdmitAndExecute(
+    Executor* executor, std::vector<SpatialAggQuery> queries,
+    QueryStats* stats, std::optional<Timer>* exec_started) {
+  stats->fused_group_size = queries.size();
+  // --- Admission: one per-shard footprint for the whole group, sized by
+  // the union upload plan. -------------------------------------------------
+  Result<AdmissionPlan> plan = executor->PlanFusedAdmission(queries);
   if (!plan.ok()) return plan.status();
 
   // Placement before the grant: routing, per-shard cache reuse, and
@@ -691,17 +570,14 @@ Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
   // execute and where, so hosted[d] — what device d's grant is multiplied
   // by — covers exactly the executing work. Skipped and cached shards
   // reserve nothing (all-or-nothing reservation over the executing devices
-  // only). Unsharded executors report the trivial {1} placement, which
-  // reduces everything below to the single-budget policy.
+  // only).
   Result<Executor::ShardPlacement> placed =
-      executor->PlanPlacement(pending.query);
+      executor->PlanFusedPlacement(queries);
   if (!placed.ok()) return placed.status();
   const Executor::ShardPlacement& placement = placed.value();
-  if (executor->sharded()) {
-    stats->shards_routed = placement.executed;
-    stats->shards_skipped = placement.skipped;
-    stats->shard_cache_hits = placement.cache_hits;
-  }
+  stats->shards_routed = placement.executed;
+  stats->shards_skipped = placement.skipped;
+  stats->shard_cache_hits = placement.cache_hits;
 
   std::size_t per_shard_grant = 0;
   Result<gpu::PoolReservation> acquired =
@@ -709,22 +585,24 @@ Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
   if (!acquired.ok()) return acquired.status();
   gpu::PoolReservation grant = std::move(acquired).MoveValueUnsafe();
   stats->granted_bytes = grant.total_bytes();
-  stats->granted_bytes_per_device.resize(pool_->size(), 0);
+  stats->granted_bytes_per_device.assign(pool_->size(), 0);
   for (std::size_t d = 0; d < pool_->size(); ++d) {
     stats->granted_bytes_per_device[d] = grant.bytes_on(d);
   }
 
   // --- Execution, batched to the per-shard grant. -------------------------
-  SpatialAggQuery query = pending.query;
-  query.device_memory_cap_bytes = per_shard_grant;
-  stats->queue_seconds = pending.queued.ElapsedSeconds();
+  for (SpatialAggQuery& q : queries) {
+    q.device_memory_cap_bytes = per_shard_grant;
+  }
   stats->device_counters_before = pool_->TotalCounters();
+  exec_started->emplace();
   Timer exec;
-  // Always the uncached path: with caching on, this runs as the
-  // single-flight leader inside the service's own GetOrCompute — the
-  // executor's cache layer must not re-enter it. The placement planned
-  // above is reused (the grant stamp changes no routing-relevant field).
-  Result<QueryResult> result = executor->ExecuteUncached(query, &placement);
+  // Never the executor's whole-query cache: with caching on, a solo query
+  // runs as the single-flight leader inside the service's own GetOrCompute
+  // and a group inserts per member. The placement planned above is reused
+  // (the grant stamp changes no routing-relevant field).
+  Result<std::vector<QueryResult>> results =
+      executor->ExecuteFused(queries, &placement);
   stats->execute_seconds = exec.ElapsedSeconds();
   stats->device_counters_after = pool_->TotalCounters();
 
@@ -736,13 +614,13 @@ Result<QueryResult> QueryService::AdmitAndExecute(Executor* executor,
     cv_capacity_.NotifyAll();
   }
 
-  if (result.ok()) UpdateShardHeat(executor, placement);
-  return result;
+  if (results.ok()) UpdateShardHeat(executor, placement);
+  return results;
 }
 
 void QueryService::UpdateShardHeat(
     Executor* executor, const Executor::ShardPlacement& placement) {
-  if (!executor->sharded() || options_.replicate_hot_shards == 0) return;
+  if (options_.replicate_hot_shards == 0) return;
 
   std::vector<std::vector<std::size_t>> replicas;
   bool install = false;
@@ -777,8 +655,8 @@ void QueryService::UpdateShardHeat(
           std::min(options_.replicate_hot_shards, num_shards);
       for (std::size_t i = 0; i < k; ++i) {
         const std::size_t s = order[i];
-        for (std::size_t d = 0; d < pool_->size(); ++d) {
-          if (d != s % pool_->size()) replicas[s].push_back(d);
+        for (std::size_t d = 0; d < executor->num_devices(); ++d) {
+          if (d != s % executor->num_devices()) replicas[s].push_back(d);
         }
       }
       install = true;
@@ -787,8 +665,35 @@ void QueryService::UpdateShardHeat(
   if (install) executor->SetShardReplicas(std::move(replicas));
 }
 
+void QueryService::RespondHit(Pending* pending, const QueryResult& cached,
+                              const Timer& fetch) {
+  // Fresh per-query stats: a hit must not replay the miss's grants, phase
+  // timings, or counter windows (it did none of that work).
+  QueryStats stats;
+  stats.cache_hit = true;
+  stats.granted_bytes_per_device.assign(pool_->size(), 0);
+  stats.execute_seconds = fetch.ElapsedSeconds();
+  const gpu::CountersSnapshot now = pool_->TotalCounters();
+  stats.device_counters_before = now;
+  stats.device_counters_after = now;
+  QueryResult out = cached;
+  out.cache_hit = true;
+  out.timing = PhaseTimer();
+  out.counters = gpu::CountersSnapshot();
+  out.total_seconds = fetch.ElapsedSeconds();
+  Respond(pending, std::move(out), stats);
+}
+
 void QueryService::Respond(Pending* pending, Result<QueryResult> result,
-                           QueryStats stats) {
+                           QueryStats stats,
+                           const std::optional<Timer>& exec_started) {
+  stats.sequence = pending->sequence;
+  stats.dispatch_order = pending->dispatch_order;
+  // Submission until execution started — the same instant for every member
+  // of a fused group, each measured from its own submission.
+  stats.queue_seconds =
+      pending->queued.ElapsedSeconds() -
+      (exec_started.has_value() ? exec_started->ElapsedSeconds() : 0.0);
   // Accounting first: a client whose future just resolved must not read a
   // stats() snapshot that still lags behind its own completion.
   {

@@ -39,6 +39,7 @@
 #include <future>
 #include <memory>
 #include <mutex>  // std::once_flag
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -134,9 +135,11 @@ struct QueryStats {
   /// the observable effect of the priority lane).
   std::uint64_t dispatch_order = 0;
   /// Wall time from submission until execution started (queueing plus
-  /// waiting for the memory grants).
+  /// waiting for the memory grants); until the response for cache hits and
+  /// queries that failed before executing.
   double queue_seconds = 0.0;
-  /// Wall time of Executor::Execute.
+  /// Wall time of the execution (the group's, for fused members; the
+  /// lookup, for cache hits).
   double execute_seconds = 0.0;
   /// Device memory reserved for this query while it ran, summed across
   /// the pool.
@@ -162,11 +165,11 @@ struct QueryStats {
   /// C++-visible accounting only — never serialized on the wire; the HTTP
   /// response schema is unchanged and fusion is invisible to clients.
   std::size_t fused_group_size = 1;
-  /// Sharded executions only (zero otherwise, including whole-query cache
-  /// hits and fused groups): shards that ran a join for this query, shards
+  /// The execution's shard placement (zero on whole-query cache hits;
+  /// fused members share their group's): shards that ran a join, shards
   /// the spatial router pruned, and shards served from the per-shard
   /// partial cache. routed + skipped + cache hits == the dataset's shard
-  /// count.
+  /// count (1 for an unsharded dataset).
   std::size_t shards_routed = 0;
   std::size_t shards_skipped = 0;
   std::size_t shard_cache_hits = 0;
@@ -185,6 +188,7 @@ struct ServiceResponse {
 struct DatasetInfo {
   std::size_t id = 0;
   std::string name;
+  /// True when the dataset has more than one shard.
   bool sharded = false;
   std::size_t num_shards = 1;
   std::size_t num_points = 0;
@@ -267,9 +271,7 @@ class QueryService {
   /// (ExecPolicy::block_pruning) and results bitwise identical to an
   /// in-memory registration of the same rows. Each call opens the file
   /// anew and mints a fresh dataset id (an existing `name` is shadowed,
-  /// like re-using a name in RegisterDataset). Fusion groups are never
-  /// formed over disk-resident datasets — members execute as individual
-  /// block scans.
+  /// like re-using a name in RegisterDataset).
   Result<std::size_t> RegisterDatasetFromFile(const std::string& path,
                                               const PolygonSet* polys,
                                               std::string name = "");
@@ -292,9 +294,7 @@ class QueryService {
 
   /// Bumps `dataset_id`'s version: cached results stop matching and the
   /// next query of each shape re-executes. For out-of-band mutations the
-  /// service cannot observe (no-op on an unknown id). Streaming appends
-  /// invalidate automatically when the join is wired to the executor's
-  /// version counter (Streaming*Join::set_version_counter).
+  /// service cannot observe (no-op on an unknown id).
   void InvalidateDataset(std::size_t dataset_id);
 
   /// The cached executor for a registered dataset (e.g. to warm caches or
@@ -394,8 +394,7 @@ class QueryService {
 
   /// Fused execution of a collected group: per-member cache probe (hits
   /// leave the group), in-group dedupe of semantically identical members,
-  /// ONE admission grant sized by Executor::PlanFusedAdmission, one
-  /// ExecuteFused scan, then per-member demux / cache insert / respond.
+  /// one AdmitAndExecute, then per-member demux / cache insert / respond.
   /// Degenerates to RunQuery when one miss remains.
   void RunGroup(std::vector<Pending> group);
 
@@ -409,29 +408,48 @@ class QueryService {
       const AdmissionPlan& plan, const std::vector<std::size_t>& hosted,
       std::size_t* per_shard_grant) RJ_EXCLUDES(mutex_);
 
-  /// The uncached execution path: plans the shard placement (routing /
-  /// per-shard cache / replicas), sizes and reserves the per-device grants
-  /// against exactly the executing devices, executes batched to the
-  /// per-shard grant, releases, then feeds the placement into the shard
-  /// heat tracker. Fills the grant/counter/timing/routing fields of
-  /// `stats`. With caching on, this is the single-flight leader's compute
-  /// function — followers and hits never enter it (cache hits bypass
-  /// admission entirely).
-  Result<QueryResult> AdmitAndExecute(Executor* executor,
-                                      const Pending& pending,
-                                      QueryStats* stats);
+  /// The one admission + execution path, for a solo query (a group of
+  /// one) and a fusion group alike: plans the group's per-shard footprint
+  /// (Executor::PlanFusedAdmission) and shard placement (routing /
+  /// per-shard cache / replicas), reserves ONE grant against exactly the
+  /// executing devices, executes the group batched to the per-shard grant
+  /// (Executor::ExecuteFused), releases, then feeds the placement into the
+  /// shard heat tracker. Fills the group-level grant/counter/timing/
+  /// routing fields of `stats`, and starts `exec_started` as execution
+  /// begins. With caching on, a solo query runs this as the single-flight
+  /// leader's compute function — followers and hits never enter it (cache
+  /// hits bypass admission entirely).
+  Result<std::vector<QueryResult>> AdmitAndExecute(
+      Executor* executor, std::vector<SpatialAggQuery> queries,
+      QueryStats* stats, std::optional<Timer>* exec_started);
 
   /// EWMA heat update from one executed placement; every
   /// replica_update_interval-th execution of a dataset re-derives its
   /// top-K replica map and installs it on the executor. No-op when
-  /// replication is off or the dataset is unsharded.
+  /// replication is off.
   void UpdateShardHeat(Executor* executor,
                        const Executor::ShardPlacement& placement)
       RJ_EXCLUDES(heat_mutex_);
 
-  /// Fulfills a pending promise and updates completion accounting.
+  /// Fulfills a pending promise and updates completion accounting; stamps
+  /// the pending's sequence, dispatch order, and queue time on `stats` (up
+  /// to `exec_started` when the query executed, else up to now).
   void Respond(Pending* pending, Result<QueryResult> result,
-               QueryStats stats) RJ_EXCLUDES(mutex_);
+               QueryStats stats,
+               const std::optional<Timer>& exec_started = std::nullopt)
+      RJ_EXCLUDES(mutex_);
+
+  /// Responds with a result-cache hit fetched in `fetch`'s window: scrubbed
+  /// diagnostics, no grant, equal counter snapshots.
+  void RespondHit(Pending* pending, const QueryResult& cached,
+                  const Timer& fetch) RJ_EXCLUDES(mutex_);
+
+  /// Registers `executor` (owning `owned_source`, may be null), or — when
+  /// an executor over the same data and polygons exists — bumps that
+  /// dataset's version and returns its id.
+  std::size_t AddDataset(std::unique_ptr<Executor> executor, std::string name,
+                         std::unique_ptr<data::PointBlockSource> owned_source)
+      RJ_EXCLUDES(mutex_);
 
   /// Shares the service result cache with executors_[id] under the dataset
   /// id, so whole-query entries and the executor's per-shard partial

@@ -1,8 +1,8 @@
 /// \file batch_pipeline_test.cc
 /// \brief Tests for the double-buffered upload pipeline
 /// (join::BatchPipeline): overlap on/off must be bitwise identical for any
-/// worker count, streaming and one-shot joins must meter identical bytes,
-/// and pipeline errors must propagate cleanly (drain-on-error).
+/// worker count, and pipeline errors must propagate cleanly
+/// (drain-on-error).
 #include "join/batch_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "join/index_join.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
-#include "join/streaming_join.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
@@ -69,7 +68,7 @@ void ExpectIdenticalArrays(const raster::ResultArrays& a,
   }
 }
 
-// --- Pull mode: plain pipeline mechanics. --------------------------------
+// --- Plain pipeline mechanics. -------------------------------------------
 
 TEST(BatchPipelineTest, PullModeCoversEveryRowInOrder) {
   JoinSetup s = MakeSetup(4, 5000, 91);
@@ -235,77 +234,29 @@ TEST(BatchPipelineTest, AccurateAndIndexJoinsOverlapBitwiseIdentical) {
   EXPECT_EQ(d3.counters().pip_tests(), d4.counters().pip_tests());
 }
 
-TEST(BatchPipelineTest, StreamingJoinsOverlapBitwiseIdentical) {
-  JoinSetup s = MakeSetup(8, 9000, 95);
-  BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;
-  options.weight_column = 0;
-
-  raster::ResultArrays arrays[2] = {raster::ResultArrays(0),
-                                    raster::ResultArrays(0)};
-  for (const bool overlap : {false, true}) {
-    options.overlap_transfers = overlap;
-    gpu::Device device = MakeDevice();
-    StreamingBoundedJoin streaming(&device, &s.polys, &s.soup, s.world,
-                                   options);
-    ASSERT_TRUE(streaming.Init().ok());
-    for (std::size_t b = 0; b < s.points.size(); b += 1234) {
-      ASSERT_TRUE(
-          streaming
-              .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + 1234)))
-              .ok());
-    }
-    auto result = streaming.Finish();
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(streaming.points_drawn(), s.points.size());
-    arrays[overlap ? 1 : 0] = std::move(result.value().arrays);
-  }
-  ExpectIdenticalArrays(arrays[0], arrays[1]);
-}
-
-// --- Satellite: streaming and one-shot joins meter identical bytes. ------
-
-TEST(BatchPipelineTest, StreamingBytesMatchOneShotBounded) {
+TEST(BatchPipelineTest, BoundedShipsEachPointAndTheTriangleVboOnce) {
   JoinSetup s = MakeSetup(8, 9000, 96);
   BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;  // single 118² tile: same tile-pass structure
+  options.epsilon = 12.0;  // a single 118² tile: one pass over the points
   options.weight_column = 0;
   // The weight column is also a filter column: the upload plan must ship
-  // it once, not twice (the old streaming path double-counted it).
+  // it once, not twice.
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kLess, 80.0f}).ok());
-
   constexpr std::size_t kBatch = 1234;
-  gpu::Device d1 = MakeDevice();
   options.batch_size = kBatch;
-  auto whole = BoundedRasterJoin(&d1, s.points, s.polys, s.soup, s.world,
-                                 options);
-  ASSERT_TRUE(whole.ok());
 
-  gpu::Device d2 = MakeDevice();
-  StreamingBoundedJoin streaming(&d2, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(streaming.Init().ok());
-  for (std::size_t b = 0; b < s.points.size(); b += kBatch) {
-    ASSERT_TRUE(
-        streaming
-            .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + kBatch)))
-            .ok());
-  }
-  auto result = streaming.Finish();
-  ASSERT_TRUE(result.ok());
-
-  // Counters-level invariant: k streamed batches ship exactly the bytes of
-  // the one-shot join with the same batch size — points exactly once at
-  // the deduped stride, the triangle VBO exactly once per query.
-  EXPECT_EQ(d1.counters().bytes_transferred(),
-            d2.counters().bytes_transferred());
-  EXPECT_EQ(d1.counters().batches(), d2.counters().batches());
-  const std::size_t expected =
-      s.points.size() * 3 * sizeof(float) + TriangleVboBytes(s.soup.size());
-  EXPECT_EQ(d1.counters().bytes_transferred(), expected);
-  ExpectIdenticalArrays(whole.value().arrays, result.value().arrays);
+  gpu::Device device = MakeDevice();
+  auto result = BoundedRasterJoin(&device, s.points, s.polys, s.soup, s.world,
+                                  options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Points exactly once at the deduplicated stride [x, y, w], the
+  // triangle VBO exactly once per query, one batch per kBatch slice.
+  EXPECT_EQ(device.counters().bytes_transferred(),
+            s.points.size() * 3 * sizeof(float) +
+                TriangleVboBytes(s.soup.size()));
+  EXPECT_EQ(device.counters().batches(),
+            (s.points.size() + kBatch - 1) / kBatch);
 }
-
-// --- Error propagation / drain-on-error. ---------------------------------
 
 TEST(BatchPipelineTest, GenuineAllocationFailurePropagatesCleanly) {
   JoinSetup s = MakeSetup(4, 1000, 97);
@@ -348,45 +299,6 @@ TEST(BatchPipelineTest, PrefetchBacksOffToSerializedUnderMemoryPressure) {
   ExpectIdenticalArrays(serial.value().arrays, overlapped.value().arrays);
   EXPECT_EQ(serial_device.counters().bytes_transferred(),
             overlap_device.counters().bytes_transferred());
-}
-
-TEST(BatchPipelineTest, PushModeBacksOffToSerializedUnderMemoryPressure) {
-  JoinSetup s = MakeSetup(4, 8000, 99);
-  // One 400-point batch at the (x, y, w) stride is 4800 B; the 6000-byte
-  // budget holds one buffer in flight, never two, so every prefetch after
-  // the first backs off while the consumer is blocked inside Push on that
-  // very upload. This is the lost-wakeup regression shape: the consumer
-  // frees the drawn buffer and immediately re-queues the slot
-  // (kDrawing → kFree → kQueued) in two critical sections, so a waiter
-  // watching for the slot's kFree state could miss the window and hang
-  // both threads. 20 batches give the race plenty of chances; the stream
-  // must complete serialized, within budget, bitwise equal to overlap-off.
-  BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;
-  options.weight_column = 0;
-
-  raster::ResultArrays arrays[2] = {raster::ResultArrays(0),
-                                    raster::ResultArrays(0)};
-  for (const bool overlap : {false, true}) {
-    options.overlap_transfers = overlap;
-    gpu::Device device = MakeDevice(1, /*budget=*/6000);
-    StreamingBoundedJoin streaming(&device, &s.polys, &s.soup, s.world,
-                                   options);
-    ASSERT_TRUE(streaming.Init().ok());
-    for (std::size_t b = 0; b < s.points.size(); b += 400) {
-      ASSERT_TRUE(
-          streaming
-              .AddBatch(s.points.Slice(b, std::min(s.points.size(), b + 400)))
-              .ok());
-    }
-    auto result = streaming.Finish();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(streaming.points_drawn(), s.points.size());
-    EXPECT_LE(device.peak_bytes_allocated(), 6000u);
-    EXPECT_EQ(device.bytes_allocated(), 0u);
-    arrays[overlap ? 1 : 0] = std::move(result.value().arrays);
-  }
-  ExpectIdenticalArrays(arrays[0], arrays[1]);
 }
 
 TEST(BatchPipelineTest, DerivedBatchSizeCoversDoubleBufferWithinBudget) {

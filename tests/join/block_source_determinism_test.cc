@@ -19,7 +19,7 @@
 #include "join/join_common.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
-#include "join/streaming_join.h"
+#include "query/executor.h"
 #include "triangulate/triangulation.h"
 
 namespace rj {
@@ -128,27 +128,25 @@ TEST(BlockSourceDeterminism, BoundedMatchesInMemoryAcrossTheMatrix) {
 
     for (const std::size_t workers : {1u, 8u}) {
       for (const bool prune : {false, true}) {
-        options.enable_block_pruning = prune;
+        const BlockSelection sel =
+            SelectBlocks(*source, {options.filters}, &s.world, prune);
+        // The selection accounts for every block, pruned or scanned.
+        EXPECT_EQ(sel.scanned + sel.pruned, source->num_blocks());
+        if (!prune) {
+          EXPECT_EQ(sel.pruned, 0u);
+        }
         gpu::Device device = MakeDevice(workers);
         ResultRanges ranges;
-        BoundedRasterJoinStats stats;
-        auto result = BoundedRasterJoin(&device, *source, s.polys, s.soup,
-                                        s.world, options, &stats, &ranges);
+        auto result = BoundedRasterJoin(&device, *source, sel.blocks, s.polys,
+                                        s.soup, s.world, options, nullptr,
+                                        &ranges);
         ASSERT_TRUE(result.ok())
             << result.status().ToString() << " capacity=" << capacity
             << " workers=" << workers << " prune=" << prune;
         ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
         ExpectIdenticalRanges(ref_ranges, ranges);
-        // The counters must account for every block, pruned or scanned.
-        EXPECT_EQ(device.counters().blocks_scanned() +
-                      device.counters().blocks_pruned(),
-                  source->num_blocks());
-        if (!prune) {
-          EXPECT_EQ(stats.blocks_pruned, 0u);
-        }
       }
     }
-    options.enable_block_pruning = true;
   }
   std::remove(path.c_str());
 }
@@ -172,11 +170,11 @@ TEST(BlockSourceDeterminism, AccurateMatchesInMemory) {
   ASSERT_TRUE(ref.ok());
 
   for (const bool prune : {false, true}) {
-    options.enable_block_pruning = prune;
+    const BlockSelection sel =
+        SelectBlocks(*source, {options.filters}, &s.world, prune);
     gpu::Device device = MakeDevice(2);
-    AccurateRasterJoinStats stats;
-    auto result = AccurateRasterJoin(&device, *source, s.polys, s.soup,
-                                     s.world, options, &stats);
+    auto result = AccurateRasterJoin(&device, *source, sel.blocks, s.polys,
+                                     s.soup, s.world, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
     // Exactness: pruning may not change the exact-PIP workload either.
@@ -203,10 +201,13 @@ TEST(BlockSourceDeterminism, IndexDeviceMatchesInMemory) {
   ASSERT_TRUE(ref.ok());
 
   for (const bool prune : {false, true}) {
-    options.enable_block_pruning = prune;
+    // Pruning against `world` is exact for this variant: the index is
+    // built over it, and Candidates yields nothing outside its extent.
+    const BlockSelection sel =
+        SelectBlocks(*source, {options.filters}, &s.world, prune);
     gpu::Device device = MakeDevice(2);
-    auto result = IndexJoinDevice(&device, *source, s.polys, s.world,
-                                  options);
+    auto result = IndexJoinDevice(&device, *source, sel.blocks, s.polys,
+                                  s.world, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
     EXPECT_EQ(ref_device.counters().pip_tests(),
@@ -235,16 +236,15 @@ TEST(BlockSourceDeterminism, IndexCpuMatchesInMemoryAndAccountsBlocks) {
 
   for (const int threads : {1, 4}) {
     for (const bool prune : {false, true}) {
-      options.enable_block_pruning = prune;
-      IndexJoinBlockStats stats;
-      auto result = IndexJoinCpu(*source, s.polys, index.value(), options,
-                                 threads, &stats);
+      const BlockSelection sel = SelectBlocks(*source, {options.filters},
+                                              &index.value().extent(), prune);
+      auto result = IndexJoinCpu(*source, sel.blocks, s.polys, index.value(),
+                                 options, threads);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
-      EXPECT_EQ(stats.blocks_scanned + stats.blocks_pruned,
-                source->num_blocks());
+      EXPECT_EQ(sel.scanned + sel.pruned, source->num_blocks());
       if (!prune) {
-        EXPECT_EQ(stats.blocks_pruned, 0u);
+        EXPECT_EQ(sel.pruned, 0u);
       }
     }
   }
@@ -273,7 +273,7 @@ TEST(BlockSourceDeterminism, SelectBlocksMatchesBruteForce) {
                         {&low, nullptr},        {&low, &corner},
                         {&impossible, nullptr}};
   for (const Case& c : cases) {
-    const BlockSelection sel = SelectBlocks(source, *c.filters, c.world,
+    const BlockSelection sel = SelectBlocks(source, {*c.filters}, c.world,
                                             /*enable_pruning=*/true);
     std::vector<std::size_t> expected;
     for (std::size_t b = 0; b < source.num_blocks(); ++b) {
@@ -288,14 +288,20 @@ TEST(BlockSourceDeterminism, SelectBlocksMatchesBruteForce) {
   // The impossible filter prunes everything; pruning off selects
   // everything regardless.
   EXPECT_TRUE(
-      SelectBlocks(source, impossible, nullptr, true).blocks.empty());
-  const BlockSelection all = SelectBlocks(source, impossible, &corner, false);
+      SelectBlocks(source, {impossible}, nullptr, true).blocks.empty());
+  const BlockSelection all =
+      SelectBlocks(source, {impossible}, &corner, false);
   EXPECT_EQ(all.blocks.size(), source.num_blocks());
   EXPECT_EQ(all.pruned, 0u);
 
+  // A shared pass keeps a block when any member can use it: the impossible
+  // member adds nothing to the low member's selection.
+  EXPECT_EQ(SelectBlocks(source, {impossible, low}, &corner, true).blocks,
+            SelectBlocks(source, {low}, &corner, true).blocks);
+
   // A source without zone maps is never pruned.
   data::TableBlockSource bare(&s.points, 400);
-  const BlockSelection unpruned = SelectBlocks(bare, impossible, &corner,
+  const BlockSelection unpruned = SelectBlocks(bare, {impossible}, &corner,
                                                true);
   EXPECT_EQ(unpruned.blocks.size(), bare.num_blocks());
 }
@@ -318,90 +324,82 @@ TEST(BlockSourceDeterminism, SelectiveCanvasPrunesMostClusteredBlocks) {
   options.epsilon = 5.0;
   options.weight_column = 0;
 
-  options.enable_block_pruning = false;
+  const BlockSelection all =
+      SelectBlocks(*source, {options.filters}, &s.world, false);
   gpu::Device full_device = MakeDevice(1);
-  auto full = BoundedRasterJoin(&full_device, *source, s.polys, s.soup,
-                                s.world, options);
+  auto full = BoundedRasterJoin(&full_device, *source, all.blocks, s.polys,
+                                s.soup, s.world, options);
   ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full_device.counters().blocks_pruned(), 0u);
 
-  options.enable_block_pruning = true;
+  const BlockSelection sel =
+      SelectBlocks(*source, {options.filters}, &s.world, true);
   gpu::Device pruned_device = MakeDevice(1);
-  BoundedRasterJoinStats stats;
-  auto pruned = BoundedRasterJoin(&pruned_device, *source, s.polys, s.soup,
-                                  s.world, options, &stats);
+  auto pruned = BoundedRasterJoin(&pruned_device, *source, sel.blocks,
+                                  s.polys, s.soup, s.world, options);
   ASSERT_TRUE(pruned.ok());
 
   ExpectIdenticalArrays(full.value().arrays, pruned.value().arrays);
-  EXPECT_GE(stats.blocks_pruned, source->num_blocks() / 2)
-      << "pruned " << stats.blocks_pruned << " of " << source->num_blocks();
-  EXPECT_EQ(pruned_device.counters().blocks_pruned(), stats.blocks_pruned);
+  EXPECT_GE(sel.pruned, source->num_blocks() / 2)
+      << "pruned " << sel.pruned << " of " << source->num_blocks();
   // Pruning must also skip the pruned blocks' transfers entirely.
   EXPECT_LT(pruned_device.counters().bytes_transferred(),
             full_device.counters().bytes_transferred());
   std::remove(path.c_str());
 }
 
-// --- Streaming joins: AddSource == AddBatch == one-shot. -----------------
+// --- One pruning region: the executor prunes a disk shard's blocks
+// against the query region, the same region shard routing uses. ----------
 
-TEST(BlockSourceDeterminism, StreamingAddSourceMatchesAddBatchAndOneShot) {
-  JoinSetup s = MakeSetup(8, 9000, 47);
-  const std::string path = TempPath("det_stream.rjb");
-  auto source = WriteAndOpen(s.points, path, 1234);
+TEST(BlockSourceDeterminism, ZoomedPolygonsPruneBlocksWithoutFilters) {
+  // Points cover (0,0)-(1000,1000); the polygons only a 200×200 zoom in
+  // the middle. The canvas world spans the points too, so pruning against
+  // it would keep every block; the query region (polygon extent padded by
+  // one canvas pixel) proves most Hilbert-clustered blocks irrelevant with
+  // no filter at all — and the result stays bitwise identical to pruning
+  // off and to the in-memory executor over the same rows.
+  JoinSetup s = MakeSetup(4, 12000, 48, BBox(400, 400, 600, 600));
+  const std::string path = TempPath("det_zoom.rjb");
+  auto source = WriteAndOpen(s.points, path, 256);
   ASSERT_NE(source, nullptr);
   auto rows = data::MaterializeBlocks(*source);
   ASSERT_TRUE(rows.ok());
 
-  BoundedRasterJoinOptions options;
-  options.epsilon = 12.0;
-  options.weight_column = 0;
+  gpu::Device mem_device = MakeDevice(2);
+  gpu::Device disk_device = MakeDevice(2);
+  Executor in_memory(&mem_device, &rows.value(), &s.polys);
+  Executor on_disk(&disk_device, source.get(), &s.polys);
 
-  // One-shot block-source execution.
-  gpu::Device d1 = MakeDevice();
-  auto one_shot = BoundedRasterJoin(&d1, *source, s.polys, s.soup, s.world,
-                                    options);
-  ASSERT_TRUE(one_shot.ok());
+  for (const JoinVariant variant :
+       {JoinVariant::kBoundedRaster, JoinVariant::kAccurateRaster,
+        JoinVariant::kIndexDevice, JoinVariant::kIndexCpu}) {
+    SCOPED_TRACE(JoinVariantName(variant));
+    SpatialAggQuery query;
+    query.variant = variant;
+    query.epsilon = 4.0;  // single 354² tile: §5 ranges apply
+    query.accurate_canvas_dim = 256;
+    query.aggregate = AggregateKind::kSum;
+    query.aggregate_column = 0;
+    query.with_result_ranges = variant == JoinVariant::kBoundedRaster;
 
-  // Streaming via AddSource.
-  gpu::Device d2 = MakeDevice();
-  StreamingBoundedJoin via_source(&d2, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(via_source.Init().ok());
-  ASSERT_TRUE(via_source.AddSource(*source).ok());
-  auto from_source = via_source.Finish();
-  ASSERT_TRUE(from_source.ok());
+    query.enable_block_pruning = false;
+    auto full = on_disk.ExecuteUncached(query);
+    query.enable_block_pruning = true;
+    auto pruned = on_disk.ExecuteUncached(query);
+    auto expected = in_memory.ExecuteUncached(query);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  // Streaming the materialized rows by hand, block-sized batches.
-  gpu::Device d3 = MakeDevice();
-  StreamingBoundedJoin via_batches(&d3, &s.polys, &s.soup, s.world, options);
-  ASSERT_TRUE(via_batches.Init().ok());
-  for (std::size_t b = 0; b < rows.value().size(); b += 1234) {
-    ASSERT_TRUE(via_batches
-                    .AddBatch(rows.value().Slice(
-                        b, std::min(rows.value().size(), b + 1234)))
-                    .ok());
+    EXPECT_EQ(full.value().counters.blocks_pruned, 0u);
+    EXPECT_GT(pruned.value().counters.blocks_pruned, 0u);
+    EXPECT_EQ(pruned.value().counters.blocks_pruned +
+                  pruned.value().counters.blocks_scanned,
+              source->num_blocks());
+    ExpectIdenticalArrays(full.value().arrays, pruned.value().arrays);
+    ExpectIdenticalArrays(expected.value().arrays, pruned.value().arrays);
+    ExpectIdenticalRanges(full.value().ranges, pruned.value().ranges);
+    ExpectIdenticalRanges(expected.value().ranges, pruned.value().ranges);
   }
-  auto from_batches = via_batches.Finish();
-  ASSERT_TRUE(from_batches.ok());
-
-  ExpectIdenticalArrays(one_shot.value().arrays, from_source.value().arrays);
-  ExpectIdenticalArrays(one_shot.value().arrays, from_batches.value().arrays);
-
-  // The accurate streaming variant gets the same treatment.
-  AccurateRasterJoinOptions acc;
-  acc.weight_column = 0;
-  acc.canvas_dim = 256;
-  gpu::Device d4 = MakeDevice();
-  auto acc_one_shot = AccurateRasterJoin(&d4, *source, s.polys, s.soup,
-                                         s.world, acc);
-  ASSERT_TRUE(acc_one_shot.ok());
-  gpu::Device d5 = MakeDevice();
-  StreamingAccurateJoin acc_stream(&d5, &s.polys, &s.soup, s.world, acc);
-  ASSERT_TRUE(acc_stream.Init().ok());
-  ASSERT_TRUE(acc_stream.AddSource(*source).ok());
-  auto acc_from_source = acc_stream.Finish();
-  ASSERT_TRUE(acc_from_source.ok());
-  ExpectIdenticalArrays(acc_one_shot.value().arrays,
-                        acc_from_source.value().arrays);
   std::remove(path.c_str());
 }
 

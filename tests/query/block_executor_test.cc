@@ -2,8 +2,8 @@
 /// \brief Executor over a PointBlockSource (the disk-resident registration
 /// path): every variant must be bitwise identical to an in-memory executor
 /// over the materialized rows, admission must be sized by the block
-/// capacity, the pruning knob must stay outside query identity, and fused
-/// execution must degenerate to per-member runs.
+/// capacity — fused groups included — the pruning knob must stay outside
+/// query identity, and fused block scans must equal per-member runs.
 #include "query/executor.h"
 
 #include <gtest/gtest.h>
@@ -197,6 +197,47 @@ TEST_F(BlockExecutorTest, AdmissionIsSizedByBlockCapacity) {
             std::max(serial.value().fixed_bytes, block_bytes));
 }
 
+TEST_F(BlockExecutorTest, FusedAdmissionFollowsBlockCapacity) {
+  // A fused group ships one VBO at the union stride of its members'
+  // columns; over a block source the batch is still the block, so the
+  // floor (and peak) is the in-flight blocks at that stride.
+  SpatialAggQuery sum_fare;
+  sum_fare.variant = JoinVariant::kBoundedRaster;
+  sum_fare.epsilon = 4.0;
+  sum_fare.aggregate = AggregateKind::kSum;
+  sum_fare.aggregate_column = 0;
+  SpatialAggQuery avg_hour = sum_fare;
+  avg_hour.aggregate = AggregateKind::kAverage;
+  avg_hour.aggregate_column = 1;
+  const std::vector<SpatialAggQuery> group = {sum_fare, avg_hour};
+
+  auto plan = src_executor_->PlanFusedAdmission(group);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto solo = src_executor_->PlanAdmission(sum_fare);
+  ASSERT_TRUE(solo.ok());
+  EXPECT_GT(plan.value().bytes_per_point, solo.value().bytes_per_point);
+  const std::size_t block_bytes =
+      kBlockCapacity * plan.value().bytes_per_point;
+  EXPECT_EQ(plan.value().min_bytes,
+            std::max(plan.value().fixed_bytes, 2 * block_bytes));
+  EXPECT_EQ(plan.value().full_bytes, plan.value().min_bytes);
+
+  // Executing the group within exactly that grant stays bitwise equal to
+  // the members' solo runs.
+  std::vector<SpatialAggQuery> capped = group;
+  for (SpatialAggQuery& q : capped) {
+    q.device_memory_cap_bytes = plan.value().min_bytes;
+  }
+  auto fused = src_executor_->ExecuteFused(capped);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  EXPECT_LE(src_device_->peak_bytes_allocated(), plan.value().min_bytes);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    auto alone = src_executor_->ExecuteUncached(group[i]);
+    ASSERT_TRUE(alone.ok());
+    ExpectIdentical(alone.value(), fused.value()[i]);
+  }
+}
+
 TEST_F(BlockExecutorTest, CappedGrantStillExecutesIdentically) {
   SpatialAggQuery query;
   query.variant = JoinVariant::kBoundedRaster;
@@ -216,12 +257,15 @@ TEST_F(BlockExecutorTest, CappedGrantStillExecutesIdentically) {
 }
 
 TEST_F(BlockExecutorTest, SourceAccessorsAndSchema) {
-  EXPECT_TRUE(src_executor_->source_backed());
   EXPECT_EQ(src_executor_->block_source(), source_.get());
-  EXPECT_EQ(src_executor_->points(), nullptr);
-  EXPECT_FALSE(src_executor_->sharded());
+  EXPECT_EQ(src_executor_->backing(), source_.get());
+  EXPECT_EQ(src_executor_->num_shards(), 1u);
+  EXPECT_TRUE(src_executor_->disk_resident());
+  EXPECT_EQ(src_executor_->num_points(), rows_.size());
   EXPECT_EQ(src_executor_->num_attribute_columns(), 2u);
-  EXPECT_FALSE(mem_executor_->source_backed());
+  EXPECT_EQ(mem_executor_->block_source(), nullptr);
+  EXPECT_EQ(mem_executor_->backing(), &rows_);
+  EXPECT_FALSE(mem_executor_->disk_resident());
 }
 
 TEST_F(BlockExecutorTest, FusedExecutionMatchesIndividualRuns) {

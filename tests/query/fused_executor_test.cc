@@ -243,6 +243,66 @@ INSTANTIATE_TEST_SUITE_P(Workers, FusedDeterminismTest,
                            return "Workers" + std::to_string(info.param);
                          });
 
+/// Several aggregates over one scan, two weight columns wide: COUNT, SUM,
+/// AVG, MIN and MAX of one attribute, AVG of a second, and a filter shared
+/// by two members. Fractional weights (fares, distances): fused and solo
+/// runs on the same executor accumulate in the same order, so each member
+/// must still match its solo run bitwise.
+TEST(FusedExecutorTest, MultiAggregateGroupOverTwoColumnsMatchesSoloRuns) {
+  auto polys = TinyRegions(8, BBox(0, 0, 500, 500), 141);
+  ASSERT_TRUE(polys.ok());
+  PointTable points;
+  points.AddAttribute("fare");
+  points.AddAttribute("distance");
+  Rng rng(142);
+  for (int i = 0; i < 8000; ++i) {
+    points.Append(rng.Uniform(0, 500), rng.Uniform(0, 500),
+                  {static_cast<float>(rng.Uniform(1, 50)),
+                   static_cast<float>(rng.Uniform(0.1, 20))});
+  }
+
+  for (const JoinVariant variant :
+       {JoinVariant::kAccurateRaster, JoinVariant::kBoundedRaster}) {
+    std::vector<SpatialAggQuery> group;
+    const auto add = [&](AggregateKind kind, std::size_t column) {
+      SpatialAggQuery q;
+      q.variant = variant;
+      q.epsilon = 4.0;
+      q.aggregate = kind;
+      q.aggregate_column = column;
+      group.push_back(q);
+    };
+    add(AggregateKind::kCount, PointTable::npos);
+    add(AggregateKind::kSum, 0);
+    add(AggregateKind::kAverage, 0);
+    add(AggregateKind::kMin, 0);
+    add(AggregateKind::kMax, 0);
+    add(AggregateKind::kAverage, 1);
+    add(AggregateKind::kCount, PointTable::npos);
+    add(AggregateKind::kSum, 0);
+    for (std::size_t i = group.size() - 2; i < group.size(); ++i) {
+      ASSERT_TRUE(
+          group[i].filters.Add(F(0, FilterOp::kGreater, 25.0f)).ok());
+    }
+
+    for (const std::size_t workers : {1, 8}) {
+      SCOPED_TRACE(JoinVariantName(variant) + " workers=" +
+                   std::to_string(workers));
+      gpu::Device device(DevOptions(workers));
+      Executor executor(&device, &points, &polys.value());
+      auto fused = executor.ExecuteFused(group);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      ASSERT_EQ(fused.value().size(), group.size());
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        SCOPED_TRACE("member " + std::to_string(i));
+        auto solo = executor.ExecuteUncached(group[i]);
+        ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+        ExpectIdenticalResults(solo.value(), fused.value()[i]);
+      }
+    }
+  }
+}
+
 TEST(FusedExecutorTest, GrantCappedFusionStaysIdentical) {
   // A tiny shared grant forces multi-batch out-of-core fused scans;
   // per-member accumulation must be insensitive to batch boundaries.
@@ -263,6 +323,19 @@ TEST(FusedExecutorTest, EmptyGroupIsRejected) {
   gpu::Device device(DevOptions(1));
   Executor executor(&device, &s.points, &s.polys);
   EXPECT_FALSE(executor.ExecuteFused({}).ok());
+}
+
+TEST(FusedExecutorTest, MemberWithoutAggregateColumnIsRejected) {
+  // SUM needs a column; one invalid member fails the whole group.
+  const JoinSetup s = MakeSetup(3, 200, 40);
+  gpu::Device device(DevOptions(1));
+  Executor executor(&device, &s.points, &s.polys);
+
+  std::vector<SpatialAggQuery> group = BoundedGroup();
+  group[1].aggregate_column = PointTable::npos;
+  auto r = executor.ExecuteFused(group);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FusedExecutorTest, MixedEpsilonGroupIsRejected) {

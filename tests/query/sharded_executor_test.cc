@@ -188,7 +188,11 @@ TEST(ShardedExecutorTest, MoreShardsThanDevicesWrapAroundAndStayIdentical) {
   pool_options.device = DevOptions(2);
   gpu::DevicePool pool(pool_options);
   Executor executor(&pool, &table.value(), &s.polys);
-  EXPECT_EQ(executor.ShardsPerDevice(), (std::vector<std::size_t>{2, 2}));
+  SpatialAggQuery unrouted = Workload()[0];
+  unrouted.enable_shard_routing = false;
+  auto placement = executor.PlanPlacement(unrouted);
+  ASSERT_TRUE(placement.ok());
+  EXPECT_EQ(placement.value().hosted, (std::vector<std::size_t>{2, 2}));
 
   const std::vector<SpatialAggQuery> workload = Workload();
   for (std::size_t q = 0; q < workload.size(); ++q) {
@@ -292,6 +296,99 @@ TEST(ShardedExecutorTest, AttributesPoolCountersToTheQuery) {
             pool.TotalCounters().bytes_transferred);
   EXPECT_GE(r.value().counters.render_passes, 2u);
   EXPECT_GE(r.value().counters.batches, 2u);
+}
+
+TEST(ShardedExecutorTest, UnshardedExecutionAttributesCountersToo) {
+  // One execution shape: an unsharded dataset is one shard, so its
+  // results carry the same exact per-query counters a sharded one does.
+  const JoinSetup s = MakeSetup(4, 4000, 28);
+  gpu::Device device(DevOptions(2));
+  Executor executor(&device, &s.points, &s.polys);
+
+  SpatialAggQuery query;
+  query.variant = JoinVariant::kBoundedRaster;
+  query.epsilon = 10.0;
+  query.aggregate = AggregateKind::kSum;
+  query.aggregate_column = 0;
+  auto r = executor.ExecuteUncached(query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().counters.bytes_transferred, 0u);
+  EXPECT_EQ(r.value().counters.bytes_transferred,
+            device.counters().bytes_transferred());
+  EXPECT_EQ(r.value().counters.fragments, device.counters().fragments());
+  EXPECT_GE(r.value().counters.render_passes, 1u);
+  EXPECT_EQ(r.value().counters.shards_routed, 1u);
+  EXPECT_EQ(r.value().counters.shards_skipped, 0u);
+}
+
+/// A fusion group over a corner district on Hilbert shards: the group is
+/// placed like a solo query — routing skips the shards no member can use —
+/// and every member still equals its single-device solo run bitwise,
+/// §5 ranges included.
+TEST(ShardedRoutingTest, FusedDistrictGroupSkipsShardsBitwise) {
+  const BBox world(0, 0, 1000, 1000);
+  auto polys = TinyRegions(6, BBox(0, 0, 250, 250), 32);
+  ASSERT_TRUE(polys.ok());
+  JoinSetup s;
+  s.polys = polys.value();
+  Rng rng(778);
+  s.points.AddAttribute("w");
+  for (std::size_t i = 0; i < 10000; ++i) {
+    s.points.Append(rng.Uniform(world.min_x, world.max_x),
+                    rng.Uniform(world.min_y, world.max_y),
+                    {static_cast<float>(rng.UniformInt(100))});
+  }
+
+  SpatialAggQuery count;
+  count.variant = JoinVariant::kBoundedRaster;
+  count.epsilon = 10.0;
+  SpatialAggQuery sum = count;
+  sum.aggregate = AggregateKind::kSum;
+  sum.aggregate_column = 0;
+  SpatialAggQuery filtered_max = count;
+  filtered_max.aggregate = AggregateKind::kMax;
+  filtered_max.aggregate_column = 0;
+  ASSERT_TRUE(filtered_max.filters.Add({0, FilterOp::kLess, 60.0f}).ok());
+  SpatialAggQuery ranges = count;
+  ranges.with_result_ranges = true;
+  SpatialAggQuery accurate_sum = sum;
+  accurate_sum.variant = JoinVariant::kAccurateRaster;
+  accurate_sum.accurate_canvas_dim = 512;
+  SpatialAggQuery accurate_avg = accurate_sum;
+  accurate_avg.aggregate = AggregateKind::kAverage;
+  const std::vector<std::vector<SpatialAggQuery>> groups = {
+      {count, sum, filtered_max, ranges}, {accurate_sum, accurate_avg}};
+
+  gpu::Device device(DevOptions(1));
+  Executor baseline(&device, &s.points, &s.polys);
+
+  data::ShardingOptions sharding;
+  sharding.num_shards = 4;
+  sharding.policy = data::ShardPolicy::kHilbert;
+  auto table = data::ShardedTable::Partition(s.points, sharding);
+  ASSERT_TRUE(table.ok());
+  gpu::DevicePoolOptions pool_options;
+  pool_options.num_devices = 2;
+  pool_options.device = DevOptions(2);
+  gpu::DevicePool pool(pool_options);
+  Executor executor(&pool, &table.value(), &s.polys);
+
+  for (const std::vector<SpatialAggQuery>& group : groups) {
+    auto placement = executor.PlanFusedPlacement(group);
+    ASSERT_TRUE(placement.ok());
+    EXPECT_GE(placement.value().skipped * 2, 4u);
+    auto fused = executor.ExecuteFused(group);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    ASSERT_EQ(fused.value().size(), group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      SCOPED_TRACE("member " + std::to_string(i));
+      EXPECT_EQ(fused.value()[i].counters.shards_skipped,
+                placement.value().skipped);
+      auto solo = baseline.ExecuteUncached(group[i]);
+      ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+      ExpectIdenticalResults(solo.value(), fused.value()[i]);
+    }
+  }
 }
 
 /// Quarter-extent selectivity: polygons covering one corner of the data

@@ -7,7 +7,7 @@
 /// the test asserts (a) the join executed exactly once per distinct key
 /// (device counters frozen once warm), (b) every response is bitwise
 /// identical to an uncached Execute, (c) LRU capacity holds under churn,
-/// and (d) a streaming AddBatch invalidates.
+/// and (d) a dataset version bump invalidates.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "common/rng.h"
 #include "data/datasets.h"
-#include "join/streaming_join.h"
 #include "query/executor.h"
 
 namespace rj::service {
@@ -303,7 +302,7 @@ TEST(CacheServiceTest, LruCapacityHoldsUnderChurn) {
   EXPECT_EQ(service.stats().failed, 0u);
 }
 
-TEST(CacheServiceTest, StreamingAddBatchInvalidatesViaVersionCounter) {
+TEST(CacheServiceTest, VersionBumpInvalidatesCachedEntries) {
   Dataset data = MakeDataset(6, 3000, 47);
   gpu::Device device(DeviceConfig(16 << 20, 1));
   QueryService service(&device, CachedService(16 << 20, 2));
@@ -319,27 +318,13 @@ TEST(CacheServiceTest, StreamingAddBatchInvalidatesViaVersionCounter) {
   ASSERT_TRUE(service.Submit(dataset, query).get().result.ok());
   EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
 
-  // A streaming append wired to the dataset's version counter invalidates
-  // the cached entry the moment AddBatch runs.
-  auto soup = executor->GetTriangulation();
-  ASSERT_TRUE(soup.ok());
-  BoundedRasterJoinOptions options;
-  options.epsilon = 10.0;
-  StreamingBoundedJoin streaming(&device, &data.polys, soup.value(),
-                                 executor->world(), options);
-  streaming.set_version_counter(executor->dataset_version_counter());
-  ASSERT_TRUE(streaming.Init().ok());
-  PointTable batch;
-  batch.AddAttribute("w");
-  batch.Append(1.0, 1.0, {2.0f});
-  ASSERT_TRUE(streaming.AddBatch(batch).ok());
-  ASSERT_TRUE(streaming.Finish().ok());
-
+  // A bump on the dataset's executor invalidates the cached entry at once.
+  executor->BumpDatasetVersion();
   const ServiceResponse after = service.Submit(dataset, query).get();
   ASSERT_TRUE(after.result.ok());
   EXPECT_FALSE(after.stats.cache_hit);
 
-  // InvalidateDataset is the out-of-band equivalent.
+  // InvalidateDataset is the service-level equivalent.
   EXPECT_TRUE(service.Submit(dataset, query).get().stats.cache_hit);
   service.InvalidateDataset(dataset);
   EXPECT_FALSE(service.Submit(dataset, query).get().stats.cache_hit);

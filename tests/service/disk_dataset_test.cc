@@ -2,8 +2,9 @@
 /// \brief QueryService over disk-resident datasets
 /// (RegisterDatasetFromFile): results bitwise identical to the in-memory
 /// registration of the same rows for either block_pruning policy, honest
-/// residency reporting through ListDatasets and the wire, no fusion
-/// groups over block sources, and clean registration failures.
+/// residency reporting through ListDatasets and the wire, fusion groups
+/// over block sources equal to their solo runs, and clean registration
+/// failures.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
@@ -172,7 +173,7 @@ TEST(DiskDatasetTest, ListDatasetsAndWireReportResidency) {
   std::remove(path.c_str());
 }
 
-TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
+TEST(DiskDatasetTest, FusionGroupsFormOverDiskDatasets) {
   Dataset data = MakeDataset(6, 8000, 53);
   const std::string path = WriteBlockFile(data, "disk_fusion.rjb", 1024);
 
@@ -185,8 +186,8 @@ TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
   ASSERT_TRUE(disk_id.ok());
 
   // A slow head query occupies the single dispatcher while four
-  // fusion-compatible queries queue behind it — the shape that fuses for
-  // in-memory datasets must execute member by member here.
+  // fusion-compatible queries queue behind it: they fuse into one shared
+  // block scan, exactly as over an in-memory dataset.
   SpatialAggQuery warmup;
   warmup.variant = JoinVariant::kAccurateRaster;
   warmup.accurate_canvas_dim = 1024;
@@ -218,7 +219,7 @@ TEST(DiskDatasetTest, FusionIsNeverFormedOverDiskDatasets) {
     ServiceResponse response = futures[i].get();
     ASSERT_TRUE(response.result.ok())
         << response.result.status().ToString();
-    EXPECT_EQ(response.stats.fused_group_size, 1u) << "member " << i;
+    EXPECT_GT(response.stats.fused_group_size, 1u) << "member " << i;
     auto solo = executor->ExecuteUncached(group[i]);
     ASSERT_TRUE(solo.ok());
     ExpectIdenticalResults(solo.value(), response.result.value());
