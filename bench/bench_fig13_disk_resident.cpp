@@ -61,8 +61,8 @@ std::unique_ptr<data::PointBlockSource> OpenOrDie(const std::string& path) {
 /// Disk throughput of one execution: bytes the source read over the time
 /// spent inside the disk-read phase.
 double ScanMbPerSec(const data::PointBlockSource& source,
-                    const JoinResult& result) {
-  const double disk_s = result.timing.Get(phase::kDiskRead);
+                    const PhaseTimer& timing) {
+  const double disk_s = timing.Get(phase::kDiskRead);
   if (disk_s <= 0.0) return 0.0;
   return static_cast<double>(source.bytes_read()) / (1 << 20) / disk_s;
 }
@@ -133,43 +133,49 @@ int main() {
     if (!cpu_mem.ok()) return 1;
     diverged |= !Identical(cpu.value().arrays, cpu_mem.value().arrays);
 
-    // Accurate raster join over the block pipeline.
+    // Accurate raster join over the block pipeline: the variant's group
+    // core with one COUNT member, checked against the table form.
+    const std::vector<FusedMemberSpec> count_member(1);
     gpu::Device dev_acc(PaperDeviceOptions(/*memory=*/8ull << 20, 2048));
-    AccurateRasterJoinOptions acc_options;
-    acc_options.canvas_dim = 2048;
+    FusedJoinOptions acc_group;
+    acc_group.canvas_dim = 2048;
     auto acc_source = OpenOrDie(path);
     Timer t_acc;
-    auto acc = AccurateRasterJoin(
+    auto acc = FusedAccurateRasterJoin(
         &dev_acc, *acc_source,
-        SelectBlocks(*acc_source, {acc_options.filters}, &world, true).blocks,
-        polys, soup, world, acc_options);
+        SelectBlocks(*acc_source, {FilterSet()}, &world, true).blocks, polys,
+        soup, world, acc_group, count_member);
     if (!acc.ok()) return 1;
     const double acc_ms = t_acc.ElapsedMillis();
-    const double acc_mbps = ScanMbPerSec(*acc_source, acc.value());
+    const double acc_mbps = ScanMbPerSec(*acc_source, acc.value().timing);
     gpu::Device dev_acc_mem(PaperDeviceOptions(8ull << 20, 2048));
+    AccurateRasterJoinOptions acc_options;
+    acc_options.canvas_dim = 2048;
     auto acc_mem = AccurateRasterJoin(&dev_acc_mem, rows, polys, soup, world,
                                       acc_options);
     if (!acc_mem.ok()) return 1;
-    diverged |= !Identical(acc.value().arrays, acc_mem.value().arrays);
+    diverged |= !Identical(acc.value().arrays[0], acc_mem.value().arrays);
 
     // Bounded raster join over the block pipeline.
     gpu::Device dev_bnd(PaperDeviceOptions(/*memory=*/8ull << 20, 2048));
-    BoundedRasterJoinOptions bnd_options;
-    bnd_options.epsilon = kEps;
+    FusedJoinOptions bnd_group;
+    bnd_group.epsilon = kEps;
     auto bnd_source = OpenOrDie(path);
     Timer t_bnd;
-    auto bnd = BoundedRasterJoin(
+    auto bnd = FusedBoundedRasterJoin(
         &dev_bnd, *bnd_source,
-        SelectBlocks(*bnd_source, {bnd_options.filters}, &world, true).blocks,
-        polys, soup, world, bnd_options);
+        SelectBlocks(*bnd_source, {FilterSet()}, &world, true).blocks, polys,
+        soup, world, bnd_group, count_member);
     if (!bnd.ok()) return 1;
     const double bnd_ms = t_bnd.ElapsedMillis();
-    const double bnd_mbps = ScanMbPerSec(*bnd_source, bnd.value());
+    const double bnd_mbps = ScanMbPerSec(*bnd_source, bnd.value().timing);
     gpu::Device dev_bnd_mem(PaperDeviceOptions(8ull << 20, 2048));
+    BoundedRasterJoinOptions bnd_options;
+    bnd_options.epsilon = kEps;
     auto bnd_mem = BoundedRasterJoin(&dev_bnd_mem, rows, polys, soup, world,
                                      bnd_options);
     if (!bnd_mem.ok()) return 1;
-    diverged |= !Identical(bnd.value().arrays, bnd_mem.value().arrays);
+    diverged |= !Identical(bnd.value().arrays[0], bnd_mem.value().arrays);
 
     const double scan_mbps = (acc_mbps + bnd_mbps) / 2.0;
     std::printf("%-12zu | %9.1f %9.1f %9.1f | %12.1f %12.1f | %10.1f\n", n,
@@ -219,15 +225,16 @@ int main() {
     auto region_soup = TriangulatePolygonSet(region_polys.value());
     if (!region_soup.ok()) return 1;
 
-    BoundedRasterJoinOptions options;
+    FusedJoinOptions options;
     options.epsilon = kEps;
+    const std::vector<FusedMemberSpec> count_member(1);
 
     auto off_source = OpenOrDie(path);
     gpu::Device dev_off(PaperDeviceOptions(8ull << 20, 2048));
     Timer t_off;
-    auto off = BoundedRasterJoin(&dev_off, *off_source, AllBlocks(*off_source),
-                                 region_polys.value(), region_soup.value(),
-                                 canvas, options);
+    auto off = FusedBoundedRasterJoin(
+        &dev_off, *off_source, AllBlocks(*off_source), region_polys.value(),
+        region_soup.value(), canvas, options, count_member);
     if (!off.ok()) return 1;
     const double off_ms = t_off.ElapsedMillis();
 
@@ -235,15 +242,15 @@ int main() {
     gpu::Device dev_on(PaperDeviceOptions(8ull << 20, 2048));
     Timer t_on;
     const BlockSelection sel =
-        SelectBlocks(*on_source, {options.filters}, &canvas, true);
-    auto on = BoundedRasterJoin(&dev_on, *on_source, sel.blocks,
-                                region_polys.value(), region_soup.value(),
-                                canvas, options);
+        SelectBlocks(*on_source, {FilterSet()}, &canvas, true);
+    auto on = FusedBoundedRasterJoin(&dev_on, *on_source, sel.blocks,
+                                     region_polys.value(), region_soup.value(),
+                                     canvas, options, count_member);
     if (!on.ok()) return 1;
     const double on_ms = t_on.ElapsedMillis();
 
     // The determinism gate: pruning may only skip provably-empty blocks.
-    diverged |= !Identical(off.value().arrays, on.value().arrays);
+    diverged |= !Identical(off.value().arrays[0], on.value().arrays[0]);
 
     const double pruned_pct = 100.0 * static_cast<double>(sel.pruned) /
                               static_cast<double>(on_source->num_blocks());

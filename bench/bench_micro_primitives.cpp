@@ -8,6 +8,7 @@
 
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/datasets.h"
 #include "data/taxi_generator.h"
 #include "geometry/pip.h"
@@ -49,19 +50,36 @@ void BM_TriangleRasterization(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleRasterization)->Arg(64)->Arg(512)->Arg(2048);
 
+/// The point pass (Step I) on a 2048² canvas. Args: points; workers (1 =
+/// the sequential path, 4 = the tiled-parallel vertex and fragment
+/// stages); weighted (1 = SUM of fare over the rides with fare > 10, which
+/// blends all four channels under a filter; 0 = unfiltered COUNT).
 void BM_DrawPoints(benchmark::State& state) {
   const PointTable points =
       GenerateTaxiPoints(static_cast<std::size_t>(state.range(0)));
+  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  FilterSet filters;
+  std::size_t weight_column = PointTable::npos;
+  if (state.range(2) != 0) {
+    if (!filters.Add({0, FilterOp::kGreater, 10.0f}).ok()) {
+      state.SkipWithError("filter rejected");
+      return;
+    }
+    weight_column = 0;  // fare
+  }
   const raster::Viewport vp(NycExtentMeters(), 2048, 2048);
   raster::Fbo fbo(2048, 2048);
   for (auto _ : state) {
     fbo.Clear();
     benchmark::DoNotOptimize(raster::DrawPoints(
-        vp, points, FilterSet(), PointTable::npos, &fbo, nullptr));
+        vp, points, filters, weight_column, &fbo, nullptr, &pool));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DrawPoints)->Arg(100'000)->Arg(500'000);
+BENCHMARK(BM_DrawPoints)
+    ->ArgNames({"points", "workers", "weighted"})
+    ->ArgsProduct({{100'000, 500'000}, {1, 4}, {0, 1}})
+    ->UseRealTime();
 
 void BM_GridProbe(benchmark::State& state) {
   auto polys = TinyRegions(260, NycExtentMeters(), 5);

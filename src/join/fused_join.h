@@ -1,6 +1,6 @@
 /// \file fused_join.h
-/// \brief Fused multi-query raster joins: one point scan serving a group of
-/// compatible queries.
+/// \brief The member list every raster join runs: one point scan serving a
+/// group of compatible queries.
 ///
 /// The paper's raster joins are bottlenecked by the point pass — upload +
 /// rasterization touch every point, while the polygon pass touches only the
@@ -10,18 +10,23 @@
 /// targets (raster::DrawPointsMulti), followed by a per-member polygon pass
 /// over the member's own FBO.
 ///
+/// Each raster variant has exactly one implementation, the group core
+/// (FusedBoundedRasterJoin, FusedAccurateRasterJoin, declared next to
+/// their variant's options). A solo query is a group of one, and the
+/// variants' table forms reduce to a one-member group over a
+/// data::TableBlockSource.
+///
 /// Compatibility is structural: members must agree on everything that shapes
 /// the shared scan — the dataset, the variant, and the canvas (ε for
 /// bounded, canvas_dim for accurate). Aggregates, weight columns, filters,
 /// and §5 range requests are free per member.
 ///
-/// Determinism contract: every member's arrays / ranges / exported FBO are
-/// bitwise identical to running that member alone through the unfused join
-/// with any batch size. Per-member FBOs are disjoint, the shared transform
-/// is a pure function of the point, and per-pixel blend order within one
-/// member is the sequential point order regardless of batch boundaries
-/// (batches are contiguous ascending ranges — the same argument
-/// docs/SERVICE.md makes for the unfused pipeline).
+/// Determinism contract: a member's arrays / ranges / exported FBO are
+/// bitwise identical to its group of one, with any batch size. Per-member
+/// FBOs are disjoint, the shared transform is a pure function of the
+/// point, and per-pixel blend order within one member is the sequential
+/// point order regardless of batch boundaries (batches are contiguous
+/// ascending ranges — the argument docs/SERVICE.md makes for the pipeline).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +37,6 @@
 #include "gpu/device.h"
 #include "join/join_common.h"
 #include "raster/fbo.h"
-#include "raster/viewport.h"
-#include "triangulate/triangulation.h"
 
 namespace rj {
 
@@ -81,36 +84,29 @@ struct FusedJoinOutput {
 };
 
 /// Columns of the fused upload: the union of every member's UploadColumns,
-/// ascending. The single definition shared by the fused joins and the
-/// Executor's fused admission plan — the grant must cover exactly the
-/// stride the pipeline ships (same contract as TriangleVboBytes).
+/// ascending. The single definition shared by the group cores and the
+/// Executor's admission plan — the grant must cover exactly the stride the
+/// pipeline ships (same contract as TriangleVboBytes).
 std::vector<std::size_t> FusedUploadColumns(
     const std::vector<FusedMemberSpec>& members);
 
-/// Bounded raster join (§4.1–4.2) for a fusion group over blocks `scan`
-/// of `source` (ascending ordinals; one device batch per block, as in the
-/// unfused block-source joins): one triangle-VBO upload, one BatchPipeline
-/// scan, one DrawPointsMulti per tile/batch, then a per-member
-/// DrawPolygons + optional §5 ranges.
-Result<FusedJoinOutput> FusedBoundedRasterJoin(
-    gpu::Device* device, const data::PointBlockSource& source,
-    std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members);
+/// The group cores' argument checks: a non-empty group, polygon ids
+/// 0..n-1, and every member's columns within `source`.
+Status ValidateFusedMembers(const data::PointBlockSource& source,
+                            const PolygonSet& polys,
+                            const std::vector<FusedMemberSpec>& members);
 
-/// Accurate raster join (§4.3) for a fusion group: the boundary FBO and
-/// grid index are member-independent and built once; each boundary point's
-/// containing polygons are resolved once and accumulated into every
-/// matching member. PIP tests are metered once per boundary point (not per
-/// member) — shared work is the point of fusion; the diagnostic counter
-/// reflects tests actually executed. Scans blocks `scan` of `source` like
-/// FusedBoundedRasterJoin.
-Result<FusedJoinOutput> FusedAccurateRasterJoin(
-    gpu::Device* device, const data::PointBlockSource& source,
-    std::vector<std::size_t> scan, const PolygonSet& polys,
-    const TriangleSoup& soup, const BBox& world,
-    const FusedJoinOptions& options,
-    const std::vector<FusedMemberSpec>& members);
+/// The table forms' scan: `points` cut into blocks of `batch_size` rows,
+/// or, when `batch_size` is 0, of the size PlanUpload fits into the
+/// device's free bytes at `member`'s upload stride (which may downgrade
+/// `*overlap_transfers` to the serialized pipeline).
+data::TableBlockSource TableBatches(gpu::Device* device,
+                                    const PointTable& points,
+                                    const FusedMemberSpec& member,
+                                    std::size_t batch_size,
+                                    bool* overlap_transfers);
+
+/// Member 0 of a one-member group's output as the table forms' JoinResult.
+JoinResult SoloResult(FusedJoinOutput* out);
 
 }  // namespace rj

@@ -60,8 +60,8 @@ Result<JoinResult> IndexJoinCpu(const PointTable& points,
                                 int num_threads);
 
 /// Block-source forms: exactly blocks `scan` of `source` (ascending; see
-/// the bounded block-source overload), bitwise identical to the table
-/// forms on the materialized blocks. Pruning is exact here too: a pruned block's points either
+/// FusedBoundedRasterJoin), bitwise identical to the table forms on the
+/// materialized blocks. Pruning is exact here too: a pruned block's points either
 /// fail the filters or fall outside the index extent, where
 /// GridIndex::Candidates returns no candidates — so both results *and* the
 /// pip_tests counter are unchanged by it. The CPU flavour's working set is

@@ -90,21 +90,6 @@ std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source) {
   return blocks;
 }
 
-Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,
-                         PhaseTimer* timing) {
-  ScopedPhase sp(timing, phase::kTransfer);
-  const std::size_t tri_bytes = TriangleVboBytes(num_triangles);
-  if (tri_bytes == 0) return Status::OK();
-  RJ_ASSIGN_OR_RETURN(
-      auto tri_vbo,
-      device->Allocate(gpu::BufferKind::kVertexBuffer, tri_bytes));
-  std::vector<std::uint8_t> zeros(tri_bytes, 0);
-  const Status status =
-      device->CopyToDevice(tri_vbo.get(), 0, zeros.data(), tri_bytes);
-  device->Free(tri_vbo);
-  return status;
-}
-
 JoinResult ReferenceJoin(const PointTable& points, const PolygonSet& polys,
                          const FilterSet& filters, std::size_t weight_column) {
   JoinResult result(polys.size());

@@ -197,14 +197,6 @@ BlockSelection SelectBlocks(const data::PointBlockSource& source,
 /// unpruned scan.
 std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source);
 
-/// Ships and meters the bounded join's triangle VBO exactly once per
-/// query (allocate → zero-fill upload → free, timed under
-/// phase::kTransfer). Shared by the bounded joins, fused and unfused, so
-/// they cannot drift in what they meter — TriangleVboBytes keeps them
-/// aligned with PlanAdmission's fixed_bytes.
-Status UploadTriangleVbo(gpu::Device* device, std::size_t num_triangles,
-                         PhaseTimer* timing);
-
 /// Brute-force all-pairs reference implementation (test oracle): for every
 /// point passing the filters, test every polygon. O(|P| · Σ|vertices|).
 JoinResult ReferenceJoin(const PointTable& points, const PolygonSet& polys,

@@ -12,8 +12,12 @@
 ///      points were already handled in step 2).
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "gpu/device.h"
 #include "index/grid_index.h"
+#include "join/fused_join.h"
 #include "join/join_common.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
@@ -39,6 +43,8 @@ struct AccurateRasterJoinOptions {
   bool overlap_transfers = true;
 };
 
+/// Diagnostics of one accurate execution (group-wide: the scan is shared;
+/// a point counts once if any member's filters admit it).
 struct AccurateRasterJoinStats {
   std::uint64_t boundary_points = 0;  ///< points that needed PIP resolution
   std::uint64_t interior_points = 0;  ///< points on the fast raster path
@@ -46,22 +52,28 @@ struct AccurateRasterJoinStats {
   std::size_t num_batches = 0;
 };
 
-/// Executes the accurate raster join; results are exact (equal to
-/// ReferenceJoin) for any canvas resolution.
+/// Accurate raster join (§4.3) for a fusion group over blocks `scan` of
+/// `source` (ascending ordinals, one device batch per block; see
+/// FusedBoundedRasterJoin). The one implementation of the variant: the
+/// boundary FBO and grid index are member-independent and built once; each
+/// boundary point's containing polygons are resolved once and accumulated
+/// into every matching member. PIP tests are metered once per boundary
+/// point (not per member) — shared work is the point of fusion; the
+/// diagnostic counter reflects tests actually executed. Results are exact
+/// (equal to ReferenceJoin) for any canvas resolution.
+Result<FusedJoinOutput> FusedAccurateRasterJoin(
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
+    const TriangleSoup& soup, const BBox& world,
+    const FusedJoinOptions& options,
+    const std::vector<FusedMemberSpec>& members,
+    AccurateRasterJoinStats* stats = nullptr);
+
+/// The table form: a one-member FusedAccurateRasterJoin over `points` cut
+/// into options.batch_size-row batches (0 = planned from the device
+/// budget).
 Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const PointTable& points,
-                                      const PolygonSet& polys,
-                                      const TriangleSoup& soup,
-                                      const BBox& world,
-                                      const AccurateRasterJoinOptions& options,
-                                      AccurateRasterJoinStats* stats = nullptr);
-
-/// Block-source execution, the core the table overload reduces to: streams
-/// exactly blocks `scan` of `source` (ascending; see the bounded
-/// block-source overload).
-Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
-                                      const data::PointBlockSource& source,
-                                      std::vector<std::size_t> scan,
                                       const PolygonSet& polys,
                                       const TriangleSoup& soup,
                                       const BBox& world,

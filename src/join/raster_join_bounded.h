@@ -16,9 +16,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "agg/result_range.h"
 #include "gpu/device.h"
+#include "join/fused_join.h"
 #include "join/join_common.h"
 #include "raster/viewport.h"
 #include "triangulate/triangulation.h"
@@ -48,25 +50,40 @@ struct BoundedRasterJoinOptions {
   /// the serialized transfer→draw timing; results are bitwise identical
   /// either way.
   bool overlap_transfers = true;
-
-  /// When set, also compute per-polygon result ranges (§5). Requires the
-  /// canvas to fit in a single tile.
-  bool compute_result_ranges = false;
 };
 
-/// Diagnostics of one bounded execution.
+/// Diagnostics of one bounded execution (group-wide: the scan is shared).
 struct BoundedRasterJoinStats {
   std::size_t num_tiles = 0;
-  std::size_t num_batches = 0;
-  std::uint64_t points_drawn = 0;
+  std::size_t num_batches = 0;     ///< device batches over all tile passes
+  std::uint64_t points_drawn = 0;  ///< fragments blended, summed over members
 };
 
-/// Executes the bounded raster join on the simulated device.
+/// Bounded raster join (§4.1–4.2) for a fusion group over blocks `scan` of
+/// `source` (ascending ordinals; one device batch per block; disk-resident
+/// sources run the three-stage disk→host→device pipeline). The one
+/// implementation of the variant: one triangle-VBO upload, one
+/// BatchPipeline scan re-streamed per tile, one DrawPointsMulti per
+/// tile/batch, then a per-member DrawPolygons + optional §5 ranges. The
+/// caller chooses the scan list (SelectBlocks; Executor prunes against its
+/// per-query region) and meters it. Bitwise identical for any block size,
+/// worker count, or pruned-away blocks that provably contribute nothing.
+Result<FusedJoinOutput> FusedBoundedRasterJoin(
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const PolygonSet& polys,
+    const TriangleSoup& soup, const BBox& world,
+    const FusedJoinOptions& options,
+    const std::vector<FusedMemberSpec>& members,
+    BoundedRasterJoinStats* stats = nullptr);
+
+/// The table form: a one-member FusedBoundedRasterJoin over `points` cut
+/// into options.batch_size-row batches (0 = planned from the device
+/// budget).
 ///
 /// `world` must cover the polygon set's extent (it defines the canvas).
 /// Returns per-polygon partial aggregates; finalize with JoinResult::
-/// Finalize. When options.compute_result_ranges is set, `ranges_out`
-/// receives the §5 intervals (must be non-null in that case).
+/// Finalize. When `ranges_out` is non-null it receives the §5 intervals
+/// (single-tile canvases only).
 ///
 /// When `point_fbo_out` is non-null the post-Step-I point FBO is copied
 /// out (single-tile canvases only — the same restriction as result
@@ -76,27 +93,6 @@ struct BoundedRasterJoinStats {
 /// across any shard count (docs/SERVICE.md).
 Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
                                      const PointTable& points,
-                                     const PolygonSet& polys,
-                                     const TriangleSoup& soup,
-                                     const BBox& world,
-                                     const BoundedRasterJoinOptions& options,
-                                     BoundedRasterJoinStats* stats = nullptr,
-                                     ResultRanges* ranges_out = nullptr,
-                                     std::optional<raster::Fbo>* point_fbo_out =
-                                         nullptr);
-
-/// Block-source execution, the core the table overload reduces to: streams
-/// exactly blocks `scan` of `source` (ascending ordinals), one device batch
-/// per block; disk-resident sources run the three-stage disk→host→device
-/// pipeline. The caller chooses the list (SelectBlocks; Executor prunes
-/// against its per-query region) and meters it. options.batch_size is
-/// ignored — the block capacity is the batch size. Bitwise identical to
-/// the table overload on the materialized blocks (data::MaterializeBlocks)
-/// for any block size, worker count, or pruned-away blocks that provably
-/// contribute nothing.
-Result<JoinResult> BoundedRasterJoin(gpu::Device* device,
-                                     const data::PointBlockSource& source,
-                                     std::vector<std::size_t> scan,
                                      const PolygonSet& polys,
                                      const TriangleSoup& soup,
                                      const BBox& world,

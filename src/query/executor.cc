@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "agg/merge_partials.h"
-#include "join/fused_join.h"
 #include "join/index_join.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
@@ -481,24 +480,22 @@ Result<Executor::GroupSetup> Executor::PrepareGroup(
   }
   const bool raster = setup.variant == JoinVariant::kBoundedRaster ||
                       setup.variant == JoinVariant::kAccurateRaster;
-  if (queries.size() > 1) {
-    if (!raster) {
+  if (!raster && queries.size() > 1) {
+    return Status::InvalidArgument(
+        "fusion requires a raster variant (bounded or accurate)");
+  }
+  // Re-check structural compatibility here even though the service's
+  // grouping predicate enforces it — the invariant that every member
+  // shares one canvas must hold locally for the shared scan to be valid.
+  for (const SpatialAggQuery& q : queries) {
+    const bool same_canvas =
+        setup.variant == JoinVariant::kBoundedRaster
+            ? q.epsilon == queries[0].epsilon
+            : q.accurate_canvas_dim == queries[0].accurate_canvas_dim;
+    if (ResolveVariant(q) != setup.variant || !same_canvas) {
       return Status::InvalidArgument(
-          "fusion requires a raster variant (bounded or accurate)");
-    }
-    // Re-check structural compatibility here even though the service's
-    // grouping predicate enforces it — the invariant that every member
-    // shares one canvas must hold locally for the shared scan to be valid.
-    for (const SpatialAggQuery& q : queries) {
-      const bool same_canvas =
-          setup.variant == JoinVariant::kBoundedRaster
-              ? q.epsilon == queries[0].epsilon
-              : q.accurate_canvas_dim == queries[0].accurate_canvas_dim;
-      if (ResolveVariant(q) != setup.variant || !same_canvas) {
-        return Status::InvalidArgument(
-            "incompatible fusion group: members must share the resolved "
-            "variant and canvas");
-      }
+          "incompatible fusion group: members must share the resolved "
+          "variant and canvas");
     }
   }
   setup.members = FusedMembers(queries, setup.variant);
@@ -519,54 +516,28 @@ Result<Executor::GroupSetup> Executor::PrepareGroup(
   return setup;
 }
 
-Result<JoinResult> Executor::RunVariant(
+Result<JoinResult> Executor::RunIndexJoin(
     gpu::Device* device, const data::PointBlockSource& source,
     std::vector<std::size_t> scan, bool overlap, const GroupSetup& setup,
-    const SpatialAggQuery& query, const FusedMemberSpec& member,
-    ResultRanges* ranges_out, std::optional<raster::Fbo>* point_fbo_out) {
+    const SpatialAggQuery& query) const {
+  // PrepareGroup admits the index variants in groups of one only.
+  IndexJoinOptions options;
+  options.weight_column = setup.members[0].weight_column;
+  options.filters = setup.members[0].filters;
   switch (setup.variant) {
-    case JoinVariant::kBoundedRaster: {
-      BoundedRasterJoinOptions options;
-      options.epsilon = query.epsilon;
-      options.weight_column = member.weight_column;
-      options.filters = member.filters;
-      options.overlap_transfers = overlap;
-      options.compute_result_ranges = member.compute_result_ranges;
-      return BoundedRasterJoin(
-          device, source, std::move(scan), *polys_, *setup.soup, world_,
-          options, nullptr, member.compute_result_ranges ? ranges_out : nullptr,
-          member.export_point_fbo ? point_fbo_out : nullptr);
-    }
-    case JoinVariant::kAccurateRaster: {
-      AccurateRasterJoinOptions options;
-      options.canvas_dim = query.accurate_canvas_dim;
-      options.weight_column = member.weight_column;
-      options.filters = member.filters;
-      options.overlap_transfers = overlap;
-      return AccurateRasterJoin(device, source, std::move(scan), *polys_,
-                                *setup.soup, world_, options);
-    }
-    case JoinVariant::kIndexDevice: {
-      IndexJoinOptions options;
-      options.weight_column = member.weight_column;
-      options.filters = member.filters;
+    case JoinVariant::kIndexDevice:
       options.overlap_transfers = overlap;
       options.prebuilt_index = setup.device_index;
       return IndexJoinDevice(device, source, std::move(scan), *polys_, world_,
                              options);
-    }
-    case JoinVariant::kIndexCpu: {
-      IndexJoinOptions options;
-      options.weight_column = member.weight_column;
-      options.filters = member.filters;
+    case JoinVariant::kIndexCpu:
       options.assign_mode = GridAssignMode::kExactGeometry;
       return IndexJoinCpu(source, scan, *polys_, *setup.cpu_index, options,
                           query.cpu_threads);
-    }
-    case JoinVariant::kAuto:
+    default:
       break;
   }
-  return Status::Internal("kAuto should have been resolved");
+  return Status::Internal("not an index variant");
 }
 
 Result<FusedJoinOutput> Executor::JoinShard(
@@ -610,7 +581,7 @@ Result<FusedJoinOutput> Executor::JoinShard(
     scan = std::move(sel.blocks);
   }
 
-  if (queries.size() > 1) {
+  if (setup.soup != nullptr) {  // a raster variant
     FusedJoinOptions options;
     options.epsilon = lead.epsilon;
     options.canvas_dim = lead.accurate_canvas_dim;
@@ -623,15 +594,13 @@ Result<FusedJoinOutput> Executor::JoinShard(
                                          *polys_, *setup.soup, world_,
                                          options, setup.members);
   }
-  // A group of one runs the member's own join, which covers every variant.
+  RJ_ASSIGN_OR_RETURN(JoinResult join,
+                      RunIndexJoin(device, *source, std::move(scan), overlap,
+                                   setup, lead));
   FusedJoinOutput out;
+  out.arrays.push_back(std::move(join.arrays));
   out.ranges.resize(1);
   out.point_fbos.resize(1);
-  RJ_ASSIGN_OR_RETURN(
-      JoinResult join,
-      RunVariant(device, *source, std::move(scan), overlap, setup, lead,
-                 setup.members[0], &out.ranges[0], &out.point_fbos[0]));
-  out.arrays.push_back(std::move(join.arrays));
   out.timing = join.timing;
   return out;
 }

@@ -375,23 +375,20 @@ class Executor {
 
   /// Runs the group's join over one shard on `device`: picks the shard's
   /// scan (grant-sized batches of a RAM shard, or the region-selected
-  /// blocks of a disk shard), then the fused join for a group of two or
-  /// more, the member's own join (RunVariant) for a group of one.
+  /// blocks of a disk shard), then the variant's group core for a raster
+  /// group of any size, or RunIndexJoin.
   Result<FusedJoinOutput> JoinShard(gpu::Device* device, const Shard& shard,
                                     const GroupSetup& setup,
                                     const std::vector<SpatialAggQuery>& queries,
                                     const BBox& region);
 
-  /// The single variant-dispatch switch: one member over blocks `scan` of
-  /// `source`. `member` carries the ranges/FBO-export requests.
-  Result<JoinResult> RunVariant(gpu::Device* device,
-                                const data::PointBlockSource& source,
-                                std::vector<std::size_t> scan, bool overlap,
-                                const GroupSetup& setup,
-                                const SpatialAggQuery& query,
-                                const FusedMemberSpec& member,
-                                ResultRanges* ranges_out,
-                                std::optional<raster::Fbo>* point_fbo_out);
+  /// The index joins (a group of one): the group's single member over
+  /// blocks `scan` of `source`.
+  Result<JoinResult> RunIndexJoin(gpu::Device* device,
+                                  const data::PointBlockSource& source,
+                                  std::vector<std::size_t> scan, bool overlap,
+                                  const GroupSetup& setup,
+                                  const SpatialAggQuery& query) const;
 
   std::unique_ptr<gpu::DevicePool> owned_pool_;  ///< single-device ctors
   gpu::DevicePool* pool_;

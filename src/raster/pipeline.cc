@@ -19,6 +19,111 @@ std::size_t PlanBands(std::int32_t height, std::size_t workers) {
                                std::max<std::size_t>(workers, 1));
 }
 
+/// One target's state in a point pass (its lane), resolved once per pass.
+struct Lane {
+  const FilterSet* filters;
+  const float* weights;  ///< null for a COUNT-only target
+  Fbo* fbo;
+};
+
+/// The point pass of DrawPointsMulti over `lanes`, adding each target's
+/// drawn count to `drawn`. Instantiated for exactly one target (every solo
+/// query) and for any number: with one target its state is a register
+/// copy across the point loop, instead of a re-read of `lanes` after every
+/// staged fragment (whose pointer stores may alias it), which measured
+/// 5–15% faster on the point pass.
+template <bool kOneTarget>
+void PointPass(const Viewport& vp, const PointTable& points,
+               const std::vector<Lane>& lanes, ThreadPool* pool,
+               std::vector<std::uint64_t>* drawn) {
+  const std::size_t n = points.size();
+  const std::size_t m = kOneTarget ? 1 : lanes.size();
+  const std::int32_t width = lanes[0].fbo->width();
+  const std::int32_t height = lanes[0].fbo->height();
+
+  // The vertex stage of point i, shared by every target: the filter
+  // decision is per target, but the transform+clip runs at most once (it
+  // is a pure function of the point, so reusing it is bit-identical to
+  // each target recomputing it). Filtered-out points are skipped before
+  // the transform (the paper's vertex shader positions them outside the
+  // viewport); clipped points reach no target. `first` is the caller's
+  // copy of lanes[0]; `emit(t, frag)` receives each surviving fragment.
+  const auto vertex_stage = [&](std::size_t i, const Lane& first,
+                                const auto& emit) {
+    bool transformed = false;
+    std::int32_t px = 0;
+    std::int32_t py = 0;
+    for (std::size_t t = 0; t < m; ++t) {
+      const Lane& lane = kOneTarget ? first : lanes[t];
+      if (!lane.filters->Matches(points, i)) continue;
+      if (!transformed) {
+        const Point s = vp.ToScreen(points.At(i));
+        px = static_cast<std::int32_t>(std::floor(s.x));
+        py = static_cast<std::int32_t>(std::floor(s.y));
+        if (px < 0 || px >= width || py < 0 || py >= height) return;
+        transformed = true;
+      }
+      emit(t, PointFrag{px, py,
+                        lane.weights != nullptr ? lane.weights[i] : 0.0f});
+    }
+  };
+
+  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
+  if (num_chunks <= 1) {
+    // Sequential path: vertex and fragment stage fused per point.
+    const Lane first = lanes[0];
+    std::uint64_t first_drawn = 0;  // lanes[0]'s count, kept like `first`
+    for (std::size_t i = 0; i < n; ++i) {
+      vertex_stage(i, first, [&](std::size_t t, const PointFrag& f) {
+        const Lane& lane = kOneTarget ? first : lanes[t];
+        BlendPointFrag(lane.fbo, f, lane.weights != nullptr);
+        ++(t == 0 ? first_drawn : (*drawn)[t]);
+      });
+    }
+    (*drawn)[0] += first_drawn;
+    return;
+  }
+
+  // Tiled-parallel path. Vertex stage: each chunk runs its contiguous
+  // slice of the point stream, staging surviving fragments into one
+  // binner per target. Nothing else is written per fragment: the drawn
+  // counts are the binners' sizes, so no shared counter puts the workers
+  // on one cache line.
+  std::vector<BandBinner> binners;
+  binners.reserve(m);
+  for (std::size_t t = 0; t < m; ++t) {
+    binners.emplace_back(num_chunks, height, /*expected_frags=*/n);
+  }
+  pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
+                           std::size_t chunk) {
+    const Lane first = lanes[0];
+    for (std::size_t i = begin; i < end; ++i) {
+      vertex_stage(i, first, [&](std::size_t t, const PointFrag& f) {
+        binners[t].Push(chunk, f);
+      });
+    }
+  });
+
+  // Fragment stage: every binner shares the band layout (same height, same
+  // chunk count), so each worker owns a contiguous run of row bands and
+  // replays every target's fragments there in sequential point order (see
+  // BandBinner). Targets' FBOs are disjoint, so cross-target order cannot
+  // matter.
+  pool->ParallelFor(
+      binners[0].num_bands(),
+      [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
+        for (std::size_t t = 0; t < m; ++t) {
+          Fbo* const fbo = lanes[t].fbo;
+          const bool has_weight = lanes[t].weights != nullptr;
+          binners[t].ReplayBands(band_begin, band_end,
+                                 [fbo, has_weight](const PointFrag& f) {
+                                   BlendPointFrag(fbo, f, has_weight);
+                                 });
+        }
+      });
+  for (std::size_t t = 0; t < m; ++t) (*drawn)[t] += binners[t].size();
+}
+
 }  // namespace
 
 BandBinner::BandBinner(std::size_t num_chunks, std::int32_t height,
@@ -32,6 +137,12 @@ BandBinner::BandBinner(std::size_t num_chunks, std::int32_t height,
     const std::size_t per_bucket = expected_frags / buckets_.size() + 1;
     for (auto& bucket : buckets_) bucket.reserve(per_bucket);
   }
+}
+
+std::size_t BandBinner::size() const {
+  std::size_t total = 0;
+  for (const auto& bucket : buckets_) total += bucket.size();
+  return total;
 }
 
 void ResultArrays::Resize(std::size_t num_polygons) {
@@ -53,177 +164,37 @@ void ResultArrays::AddFrom(const ResultArrays& other) {
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters, ThreadPool* pool) {
-  const std::size_t n = points.size();
-  const bool has_weight = weight_column != PointTable::npos;
-  const std::vector<float>* weights =
-      has_weight ? &points.attribute(weight_column) : nullptr;
-
-  const std::int32_t width = fbo->width();
-  const std::int32_t height = fbo->height();
-
-  std::uint64_t drawn = 0;
-  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
-  if (num_chunks <= 1) {
-    // Sequential path: vertex and fragment stage fused per point.
-    for (std::size_t i = 0; i < n; ++i) {
-      // Vertex stage: filter constraints first — failing points are
-      // positioned outside the viewport by the paper's vertex shader and
-      // clipped; here we just skip them before the transform.
-      if (!filters.Matches(points, i)) continue;
-
-      const Point s = vp.ToScreen(points.At(i));
-      const auto px = static_cast<std::int32_t>(std::floor(s.x));
-      const auto py = static_cast<std::int32_t>(std::floor(s.y));
-      if (px < 0 || px >= width || py < 0 || py >= height) {
-        continue;  // clipped by the pipeline
-      }
-
-      // Fragment stage: additive blend of the partial aggregate.
-      BlendPointFrag(fbo, {px, py, has_weight ? (*weights)[i] : 0.0f},
-                     has_weight);
-      ++drawn;
-    }
-  } else {
-    // Tiled-parallel path. Vertex stage: each chunk filters, transforms and
-    // clips its contiguous slice of the point stream, staging surviving
-    // fragments per row band.
-    BandBinner binner(num_chunks, height, /*expected_frags=*/n);
-    std::vector<std::uint64_t> drawn_per_chunk(num_chunks, 0);
-    pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
-                             std::size_t chunk) {
-      std::uint64_t local_drawn = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!filters.Matches(points, i)) continue;
-        const Point s = vp.ToScreen(points.At(i));
-        const auto px = static_cast<std::int32_t>(std::floor(s.x));
-        const auto py = static_cast<std::int32_t>(std::floor(s.y));
-        if (px < 0 || px >= width || py < 0 || py >= height) continue;
-        binner.Push(chunk, {px, py, has_weight ? (*weights)[i] : 0.0f});
-        ++local_drawn;
-      }
-      drawn_per_chunk[chunk] = local_drawn;
-    });
-
-    // Fragment stage: each worker owns a contiguous run of row bands and
-    // blends its fragments in sequential point order (see BandBinner).
-    pool->ParallelFor(
-        binner.num_bands(),
-        [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-          binner.ReplayBands(band_begin, band_end, [&](const PointFrag& f) {
-            BlendPointFrag(fbo, f, has_weight);
-          });
-        });
-    for (const std::uint64_t d : drawn_per_chunk) drawn += d;
-  }
-
-  if (counters != nullptr) {
-    counters->AddVerticesProcessed(n);
-    counters->AddFragments(drawn);
-  }
-  return drawn;
+  return DrawPointsMulti(vp, points,
+                         {MultiTarget{&filters, weight_column, fbo}}, counters,
+                         pool)[0];
 }
 
 std::vector<std::uint64_t> DrawPointsMulti(
     const Viewport& vp, const PointTable& points,
     const std::vector<MultiTarget>& targets, gpu::Counters* counters,
     ThreadPool* pool) {
-  const std::size_t n = points.size();
   const std::size_t m = targets.size();
   std::vector<std::uint64_t> drawn(m, 0);
   if (m == 0) return drawn;
 
-  std::vector<const std::vector<float>*> weights(m, nullptr);
+  std::vector<Lane> lanes(m);
   for (std::size_t t = 0; t < m; ++t) {
-    if (targets[t].weight_column != PointTable::npos) {
-      weights[t] = &points.attribute(targets[t].weight_column);
-    }
+    lanes[t].filters = targets[t].filters;
+    lanes[t].weights = targets[t].weight_column != PointTable::npos
+                           ? points.attribute(targets[t].weight_column).data()
+                           : nullptr;
+    lanes[t].fbo = targets[t].fbo;
   }
-
-  const std::int32_t width = targets[0].fbo->width();
-  const std::int32_t height = targets[0].fbo->height();
-
-  // Shared vertex stage per point: the filter decision is per target, but
-  // the transform+clip runs at most once (it is a pure function of the
-  // point, so reusing it is bit-identical to each target recomputing it).
-  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
-  if (num_chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      bool transformed = false;
-      bool clipped = false;
-      std::int32_t px = 0;
-      std::int32_t py = 0;
-      for (std::size_t t = 0; t < m; ++t) {
-        if (!targets[t].filters->Matches(points, i)) continue;
-        if (!transformed) {
-          const Point s = vp.ToScreen(points.At(i));
-          px = static_cast<std::int32_t>(std::floor(s.x));
-          py = static_cast<std::int32_t>(std::floor(s.y));
-          clipped = px < 0 || px >= width || py < 0 || py >= height;
-          transformed = true;
-        }
-        if (clipped) continue;
-        BlendPointFrag(targets[t].fbo,
-                       {px, py, weights[t] != nullptr ? (*weights[t])[i] : 0.0f},
-                       weights[t] != nullptr);
-        ++drawn[t];
-      }
-    }
+  if (m == 1) {
+    PointPass</*kOneTarget=*/true>(vp, points, lanes, pool, &drawn);
   } else {
-    // One binner per target: all share the band layout (same height, same
-    // chunk count), so one fragment-stage ParallelFor can replay every
-    // target's run of bands. Targets' FBOs are disjoint, which keeps each
-    // target's per-pixel blend order exactly the sequential point order.
-    std::vector<BandBinner> binners;
-    binners.reserve(m);
-    for (std::size_t t = 0; t < m; ++t) {
-      binners.emplace_back(num_chunks, height, /*expected_frags=*/n);
-    }
-    std::vector<std::vector<std::uint64_t>> drawn_per_chunk(
-        m, std::vector<std::uint64_t>(num_chunks, 0));
-    pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
-                             std::size_t chunk) {
-      for (std::size_t i = begin; i < end; ++i) {
-        bool transformed = false;
-        bool clipped = false;
-        std::int32_t px = 0;
-        std::int32_t py = 0;
-        for (std::size_t t = 0; t < m; ++t) {
-          if (!targets[t].filters->Matches(points, i)) continue;
-          if (!transformed) {
-            const Point s = vp.ToScreen(points.At(i));
-            px = static_cast<std::int32_t>(std::floor(s.x));
-            py = static_cast<std::int32_t>(std::floor(s.y));
-            clipped = px < 0 || px >= width || py < 0 || py >= height;
-            transformed = true;
-          }
-          if (clipped) continue;
-          binners[t].Push(
-              chunk,
-              {px, py, weights[t] != nullptr ? (*weights[t])[i] : 0.0f});
-          ++drawn_per_chunk[t][chunk];
-        }
-      }
-    });
-
-    pool->ParallelFor(
-        binners[0].num_bands(),
-        [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-          for (std::size_t t = 0; t < m; ++t) {
-            binners[t].ReplayBands(
-                band_begin, band_end, [&](const PointFrag& f) {
-                  BlendPointFrag(targets[t].fbo, f, weights[t] != nullptr);
-                });
-          }
-        });
-    for (std::size_t t = 0; t < m; ++t) {
-      for (const std::uint64_t d : drawn_per_chunk[t]) drawn[t] += d;
-    }
+    PointPass</*kOneTarget=*/false>(vp, points, lanes, pool, &drawn);
   }
 
   if (counters != nullptr) {
     // The scan is shared: meter the vertex stage once for the whole group,
     // and the fragment stage as the sum of what every target blended.
-    counters->AddVerticesProcessed(n);
+    counters->AddVerticesProcessed(points.size());
     std::uint64_t total = 0;
     for (const std::uint64_t d : drawn) total += d;
     counters->AddFragments(total);

@@ -74,6 +74,9 @@ class BandBinner {
 
   std::size_t num_bands() const { return num_bands_; }
 
+  /// Fragments staged so far, over every chunk and band.
+  std::size_t size() const;
+
   /// Appends a fragment produced by chunk `chunk` (its ParallelFor index).
   void Push(std::size_t chunk, const PointFrag& f) {
     buckets_[chunk * num_bands_ + BandOf(f.y)].push_back(f);
@@ -107,40 +110,36 @@ class BandBinner {
 /// `fbo` with additive blending. Channel 0 += 1; channel 1 += weight
 /// attribute (if `weight_column` != npos); channels 2/3 track min/max.
 /// Points outside the viewport are clipped. Returns the number of points
-/// actually drawn (post-filter, post-clip).
-///
-/// When `pool` has more than one worker the call runs tiled-parallel: the
-/// vertex stage splits the point stream across workers, fragments are
-/// staged per row band (BandBinner), and the fragment stage blends each
-/// band on its owning worker. Results are bitwise identical to the
-/// sequential path for any worker count.
+/// actually drawn (post-filter, post-clip). A one-target DrawPointsMulti.
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters,
                          ThreadPool* pool = nullptr);
 
-/// One member of a fused point pass (DrawPointsMulti): the member's
-/// filters decide which points it sees, its weight column supplies the
-/// blended attribute, and its FBO receives the fragments. FBOs of a fused
-/// pass must be distinct and share one canvas size.
+/// One target of a point pass (DrawPointsMulti): the target's filters
+/// decide which points it sees, its weight column supplies the blended
+/// attribute, and its FBO receives the fragments. FBOs of one pass must be
+/// distinct and share one canvas size.
 struct MultiTarget {
   const FilterSet* filters = nullptr;
   std::size_t weight_column = PointTable::npos;
   Fbo* fbo = nullptr;
 };
 
-/// Fused point pass: one scan of `points` feeding every target. Per point
-/// the world→screen transform and clip run once; each target whose filters
-/// match blends the fragment into its own FBO — exactly the operations
-/// DrawPoints would perform for that target alone, in the same order, so
-/// every target's FBO is bitwise identical to a solo DrawPoints call
-/// (per-target FBOs are disjoint, so cross-target order cannot matter).
+/// The point pass, the one implementation of Procedure DrawPoints: one
+/// scan of `points` feeding every target. Per point the world→screen
+/// transform and clip run once; each target whose filters match blends the
+/// fragment into its own FBO. Per-target FBOs are disjoint, so each
+/// target's FBO is bitwise identical to a one-target pass over it.
 /// Returns the per-target drawn counts.
 ///
-/// Parallel path: one shared vertex stage stages fragments into one
-/// BandBinner per target (same band layout — the FBOs share a height), and
-/// one fragment stage replays every target's bands. Counters meter the
-/// shared scan once: vertices += points.size() (not once per target),
+/// When `pool` has more than one worker the pass runs tiled-parallel: the
+/// vertex stage splits the point stream across workers and stages
+/// fragments per row band into one BandBinner per target (same band
+/// layout — the FBOs share a height), and the fragment stage blends each
+/// band on its owning worker, for every target. Results are bitwise
+/// identical to the sequential path for any worker count. Counters meter
+/// the shared scan once: vertices += points.size() (not once per target),
 /// fragments += the sum of per-target drawn counts.
 std::vector<std::uint64_t> DrawPointsMulti(
     const Viewport& vp, const PointTable& points,

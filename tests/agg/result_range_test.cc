@@ -116,7 +116,7 @@ TEST(ResultIntervalTest, ContainsAndWidth) {
 }
 
 TEST(ResultRangeViaJoinTest, BoundedJoinProducesRanges) {
-  // End-to-end through BoundedRasterJoin with compute_result_ranges.
+  // End-to-end through BoundedRasterJoin with a ranges_out target.
   PolygonSet polys;
   polys.emplace_back(Ring{{2, 2}, {13, 3}, {8, 12}});
   polys[0].set_id(0);
@@ -136,7 +136,6 @@ TEST(ResultRangeViaJoinTest, BoundedJoinProducesRanges) {
 
   BoundedRasterJoinOptions options;
   options.epsilon = 1.0;
-  options.compute_result_ranges = true;
   ResultRanges ranges;
   auto result = BoundedRasterJoin(&device, points, polys, soup.value(),
                                   BBox(0, 0, 16, 16), options, nullptr,

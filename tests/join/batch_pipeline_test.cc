@@ -160,7 +160,6 @@ TEST(BatchPipelineTest, BoundedJoinOverlapBitwiseIdenticalAcrossWorkers) {
   options.epsilon = 12.0;
   options.weight_column = 0;
   options.batch_size = 999;  // 13 batches
-  options.compute_result_ranges = true;
 
   // Serialized single-worker reference.
   options.overlap_transfers = false;

@@ -1,8 +1,8 @@
 /// \file block_source_determinism_test.cc
 /// \brief The tentpole guarantee of the block-based scan stack: every join
 /// variant run over a PointBlockSource — mmap-backed v2 file or in-memory
-/// adapter — is bitwise identical to the in-memory overload on the
-/// materialized rows, for any block size, worker count, or pruning
+/// adapter — is bitwise identical to the table form on the materialized
+/// rows, for any block size, worker count, or pruning
 /// setting; and zone-map pruning skips most blocks of Hilbert-clustered
 /// data under a selective canvas without changing a bit of the result.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -84,6 +85,38 @@ void ExpectIdenticalRanges(const ResultRanges& a, const ResultRanges& b) {
   }
 }
 
+/// The bounded variant over blocks `scan` of `source`: its group core
+/// with `options` as the one member (what the table form reduces to).
+Result<FusedJoinOutput> BoundedOverBlocks(
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const JoinSetup& s,
+    const BoundedRasterJoinOptions& options, bool with_ranges = false) {
+  FusedJoinOptions group;
+  group.epsilon = options.epsilon;
+  FusedMemberSpec member;
+  member.weight_column = options.weight_column;
+  member.filters = options.filters;
+  member.compute_result_ranges = with_ranges;
+  return FusedBoundedRasterJoin(device, source, std::move(scan), s.polys,
+                                s.soup, s.world, group, {member});
+}
+
+/// The accurate variant over blocks `scan` of `source` (see
+/// BoundedOverBlocks).
+Result<FusedJoinOutput> AccurateOverBlocks(
+    gpu::Device* device, const data::PointBlockSource& source,
+    std::vector<std::size_t> scan, const JoinSetup& s,
+    const AccurateRasterJoinOptions& options) {
+  FusedJoinOptions group;
+  group.canvas_dim = options.canvas_dim;
+  group.index_resolution = options.index_resolution;
+  FusedMemberSpec member;
+  member.weight_column = options.weight_column;
+  member.filters = options.filters;
+  return FusedAccurateRasterJoin(device, source, std::move(scan), s.polys,
+                                 s.soup, s.world, group, {member});
+}
+
 /// Writes `points` as a v2 block file at the given capacity and opens it.
 /// Caller owns the path cleanup.
 std::unique_ptr<data::PointBlockSource> WriteAndOpen(
@@ -111,13 +144,12 @@ TEST(BlockSourceDeterminism, BoundedMatchesInMemoryAcrossTheMatrix) {
   BoundedRasterJoinOptions options;
   options.epsilon = 12.0;
   options.weight_column = 0;
-  options.compute_result_ranges = true;
   ASSERT_TRUE(options.filters.Add({0, FilterOp::kLess, 80.0f}).ok());
 
   for (const std::size_t capacity : {1000u, 4096u}) {
     auto source = WriteAndOpen(s.points, path, capacity);
     ASSERT_NE(source, nullptr);
-    // The baseline: the in-memory overload on the rows in on-disk order.
+    // The baseline: the table form on the rows in on-disk order.
     auto rows = data::MaterializeBlocks(*source);
     ASSERT_TRUE(rows.ok());
     gpu::Device ref_device = MakeDevice(1);
@@ -136,15 +168,13 @@ TEST(BlockSourceDeterminism, BoundedMatchesInMemoryAcrossTheMatrix) {
           EXPECT_EQ(sel.pruned, 0u);
         }
         gpu::Device device = MakeDevice(workers);
-        ResultRanges ranges;
-        auto result = BoundedRasterJoin(&device, *source, sel.blocks, s.polys,
-                                        s.soup, s.world, options, nullptr,
-                                        &ranges);
+        auto result = BoundedOverBlocks(&device, *source, sel.blocks, s,
+                                        options, /*with_ranges=*/true);
         ASSERT_TRUE(result.ok())
             << result.status().ToString() << " capacity=" << capacity
             << " workers=" << workers << " prune=" << prune;
-        ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
-        ExpectIdenticalRanges(ref_ranges, ranges);
+        ExpectIdenticalArrays(ref.value().arrays, result.value().arrays[0]);
+        ExpectIdenticalRanges(ref_ranges, result.value().ranges[0]);
       }
     }
   }
@@ -173,10 +203,9 @@ TEST(BlockSourceDeterminism, AccurateMatchesInMemory) {
     const BlockSelection sel =
         SelectBlocks(*source, {options.filters}, &s.world, prune);
     gpu::Device device = MakeDevice(2);
-    auto result = AccurateRasterJoin(&device, *source, sel.blocks, s.polys,
-                                     s.soup, s.world, options);
+    auto result = AccurateOverBlocks(&device, *source, sel.blocks, s, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ExpectIdenticalArrays(ref.value().arrays, result.value().arrays);
+    ExpectIdenticalArrays(ref.value().arrays, result.value().arrays[0]);
     // Exactness: pruning may not change the exact-PIP workload either.
     EXPECT_EQ(ref_device.counters().pip_tests(),
               device.counters().pip_tests());
@@ -327,18 +356,17 @@ TEST(BlockSourceDeterminism, SelectiveCanvasPrunesMostClusteredBlocks) {
   const BlockSelection all =
       SelectBlocks(*source, {options.filters}, &s.world, false);
   gpu::Device full_device = MakeDevice(1);
-  auto full = BoundedRasterJoin(&full_device, *source, all.blocks, s.polys,
-                                s.soup, s.world, options);
+  auto full = BoundedOverBlocks(&full_device, *source, all.blocks, s, options);
   ASSERT_TRUE(full.ok());
 
   const BlockSelection sel =
       SelectBlocks(*source, {options.filters}, &s.world, true);
   gpu::Device pruned_device = MakeDevice(1);
-  auto pruned = BoundedRasterJoin(&pruned_device, *source, sel.blocks,
-                                  s.polys, s.soup, s.world, options);
+  auto pruned =
+      BoundedOverBlocks(&pruned_device, *source, sel.blocks, s, options);
   ASSERT_TRUE(pruned.ok());
 
-  ExpectIdenticalArrays(full.value().arrays, pruned.value().arrays);
+  ExpectIdenticalArrays(full.value().arrays[0], pruned.value().arrays[0]);
   EXPECT_GE(sel.pruned, source->num_blocks() / 2)
       << "pruned " << sel.pruned << " of " << source->num_blocks();
   // Pruning must also skip the pruned blocks' transfers entirely.

@@ -1,8 +1,9 @@
 /// \file fused_executor_test.cc
 /// \brief Fused multi-query determinism: ExecuteFused over a compatible
 /// group must be bitwise identical, member for member, to running each
-/// query alone — across group sizes 1..4, worker counts, shard counts,
-/// and both raster variants, §5 result ranges included.
+/// query alone (its group of one) — across group sizes 1..4, worker
+/// counts, shard counts, single- and multi-tile canvases, and both raster
+/// variants, §5 result ranges included.
 ///
 /// Weights are integer-valued floats, the exactly-representable regime the
 /// determinism guarantee covers (see merge_partials.h); COUNT/MIN/MAX are
@@ -17,7 +18,9 @@
 #include "data/datasets.h"
 #include "data/sharded_table.h"
 #include "gpu/device_pool.h"
+#include "join/raster_join_bounded.h"
 #include "query/executor.h"
+#include "triangulate/triangulation.h"
 
 namespace rj {
 namespace {
@@ -154,7 +157,7 @@ std::vector<SpatialAggQuery> AccurateGroup() {
   return group;
 }
 
-/// Unfused ground truth: every member run alone on a single 1-worker
+/// Ground truth: every member run alone (its group of one) on a 1-worker
 /// device, the configuration every other sweep must reproduce bitwise.
 std::vector<QueryResult> Baseline(const JoinSetup& s,
                                   const std::vector<SpatialAggQuery>& group) {
@@ -237,8 +240,55 @@ TEST_P(FusedDeterminismTest, ShardedFusionMatchesUnfusedBaseline) {
   }
 }
 
+TEST_P(FusedDeterminismTest, MultiTileGroupMatchesGroupsOfOneAndTableForm) {
+  // max_fbo_dim 128 at ε=4 tiles the canvas 3×3, so the group re-streams
+  // its points once per tile (per-tile member leases plus
+  // BatchPipeline::Rewind). The §5 ranges member needs a single tile and
+  // stays out.
+  const JoinSetup s = MakeSetup(8, 12000, 41);
+  std::vector<SpatialAggQuery> group = BoundedGroup();
+  group.pop_back();  // count_ranges
+  for (SpatialAggQuery& q : group) q.epsilon = 4.0;
+
+  gpu::DeviceOptions options = DevOptions(GetParam());
+  options.max_fbo_dim = 128;
+  gpu::Device device(options);
+  Executor executor(&device, &s.points, &s.polys);
+  auto soup = TriangulatePolygonSet(s.polys);
+  ASSERT_TRUE(soup.ok());
+
+  auto fused = executor.ExecuteFused(group);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(fused.value().size(), group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    auto solo = executor.ExecuteFused({group[i]});
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    ExpectIdenticalResults(solo.value()[0], fused.value()[i]);
+
+    BoundedRasterJoinOptions table;
+    table.epsilon = group[i].epsilon;
+    table.weight_column = group[i].EffectiveAggregateColumn();
+    table.filters = group[i].filters;
+    BoundedRasterJoinStats stats;
+    auto joined = BoundedRasterJoin(&device, s.points, s.polys, soup.value(),
+                                    executor.world(), table, &stats);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(stats.num_tiles, 9u);
+    const raster::ResultArrays& a = joined.value().arrays;
+    const raster::ResultArrays& b = fused.value()[i].arrays;
+    ASSERT_EQ(a.count.size(), b.count.size());
+    for (std::size_t p = 0; p < a.count.size(); ++p) {
+      EXPECT_EQ(a.count[p], b.count[p]) << "count slot " << p;
+      EXPECT_EQ(a.sum[p], b.sum[p]) << "sum slot " << p;
+      EXPECT_EQ(a.min[p], b.min[p]) << "min slot " << p;
+      EXPECT_EQ(a.max[p], b.max[p]) << "max slot " << p;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, FusedDeterminismTest,
-                         ::testing::Values(1, 8),
+                         ::testing::Values(1, 4, 8),
                          [](const auto& info) {
                            return "Workers" + std::to_string(info.param);
                          });
