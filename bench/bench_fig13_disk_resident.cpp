@@ -141,10 +141,14 @@ int main() {
     acc_group.canvas_dim = 2048;
     auto acc_source = OpenOrDie(path);
     Timer t_acc;
+    auto acc_index = GridIndex::Build(polys, world, 1024, GridAssignMode::kMbr);
+    if (!acc_index.ok()) return 1;
+    const raster::Fbo acc_mask = BuildBoundaryMask(
+        polys, world, acc_group.canvas_dim, nullptr, &dev_acc.pool());
     auto acc = FusedAccurateRasterJoin(
         &dev_acc, *acc_source,
         SelectBlocks(*acc_source, {FilterSet()}, &world, true).blocks, polys,
-        soup, world, acc_group, count_member);
+        soup, world, acc_mask, acc_index.value(), acc_group, count_member);
     if (!acc.ok()) return 1;
     const double acc_ms = t_acc.ElapsedMillis();
     const double acc_mbps = ScanMbPerSec(*acc_source, acc.value().timing);

@@ -1,7 +1,7 @@
 /// \file bench_micro_primitives.cpp
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// join operators are built from: PIP tests, triangle rasterization,
-/// point drawing, grid probes, and triangulation.
+/// point drawing, grid builds and probes, and triangulation.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -103,6 +103,27 @@ void BM_GridProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GridProbe);
+
+/// Grid-index construction over the 260 NYC neighborhoods at 1024². Arg:
+/// assignment (0 = MBR, the device index; 1 = exact geometry, the CPU
+/// index of §7.1).
+void BM_GridBuild(benchmark::State& state) {
+  auto polys = NycNeighborhoods();
+  if (!polys.ok()) {
+    state.SkipWithError("region generation failed");
+    return;
+  }
+  const GridAssignMode mode = state.range(0) == 0
+                                  ? GridAssignMode::kMbr
+                                  : GridAssignMode::kExactGeometry;
+  for (auto _ : state) {
+    auto index = GridIndex::Build(polys.value(), NycExtentMeters(), 1024, mode);
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(polys.value().size()));
+}
+BENCHMARK(BM_GridBuild)->ArgName("exact")->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_Triangulation(benchmark::State& state) {
   auto polys = TinyRegions(static_cast<std::size_t>(state.range(0)),

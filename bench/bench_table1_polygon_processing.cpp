@@ -25,7 +25,9 @@ void Row(const char* name, const PolygonSet& polys, const BBox& extent,
     if (r.ok()) soup = std::move(r).MoveValueUnsafe();
   });
 
-  // Device index build (per query, MBR assignment — §6.1).
+  // Device index build (MBR assignment — §6.1). The paper builds it per
+  // query; the executor builds it once per dataset and shares it across
+  // queries and shards (the table-form joins still build it per call).
   const double device_s = TimeOnce([&] {
     auto r = GridIndex::Build(polys, extent, device_res, GridAssignMode::kMbr);
     (void)r;

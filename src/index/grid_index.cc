@@ -92,6 +92,33 @@ void CellsIntersectingPolygon(const Polygon& poly, const BBox& extent,
 
 }  // namespace
 
+template <typename ForEachCell>
+void GridIndex::LayOut(std::size_t num_polys,
+                       const ForEachCell& for_each_cell) {
+  // Pass 1: counts in offsets_[c + 1], then an in-place prefix sum.
+  const std::int64_t num_cells =
+      static_cast<std::int64_t>(resolution_) * resolution_;
+  offsets_.assign(num_cells + 1, 0);
+  for (std::size_t pid = 0; pid < num_polys; ++pid) {
+    for_each_cell(pid, [&](std::int64_t c) { ++offsets_[c + 1]; });
+  }
+  for (std::int64_t c = 0; c < num_cells; ++c) {
+    offsets_[c + 1] += offsets_[c];
+  }
+
+  // Pass 2: fill in polygon order, so each cell lists ascending ids.
+  // offsets_[c] serves as cell c's cursor and ends at c's end, which is
+  // c + 1's start: one shift restores the offsets.
+  entries_.resize(offsets_[num_cells]);
+  for (std::size_t pid = 0; pid < num_polys; ++pid) {
+    for_each_cell(pid, [&](std::int64_t c) {
+      entries_[offsets_[c]++] = static_cast<std::int32_t>(pid);
+    });
+  }
+  std::move_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
+}
+
 Result<GridIndex> GridIndex::Build(const PolygonSet& polys, const BBox& extent,
                                    std::int32_t resolution,
                                    GridAssignMode mode) {
@@ -109,9 +136,6 @@ Result<GridIndex> GridIndex::Build(const PolygonSet& polys, const BBox& extent,
   index.cell_w_ = extent.Width() / resolution;
   index.cell_h_ = extent.Height() / resolution;
 
-  const std::int64_t num_cells =
-      static_cast<std::int64_t>(resolution) * resolution;
-
   auto cell_range = [&](const BBox& box) {
     std::int32_t cx0 = static_cast<std::int32_t>(
         std::floor((box.min_x - extent.min_x) / index.cell_w_));
@@ -128,51 +152,31 @@ Result<GridIndex> GridIndex::Build(const PolygonSet& polys, const BBox& extent,
     return std::array<std::int32_t, 4>{cx0, cy0, cx1, cy1};
   };
 
-  // Enumerate each polygon's cells once (per-polygon lists), then lay the
-  // CSR arrays out (the two-pass count-then-fill structure of §6.1).
-  std::vector<std::vector<std::int64_t>> cells_of(polys.size());
-  std::vector<std::int32_t> stamp;
-  if (mode == GridAssignMode::kExactGeometry) {
-    stamp.assign(num_cells, -1);
-  }
-  for (std::size_t pid = 0; pid < polys.size(); ++pid) {
-    const Polygon& poly = polys[pid];
-    if (mode == GridAssignMode::kMbr) {
-      const auto [cx0, cy0, cx1, cy1] = cell_range(poly.bbox());
-      cells_of[pid].reserve(static_cast<std::size_t>(cx1 - cx0 + 1) *
-                            (cy1 - cy0 + 1));
+  if (mode == GridAssignMode::kMbr) {
+    // Each polygon's cells are its MBR's cell range: both passes walk the
+    // range directly, no per-polygon cell lists.
+    index.LayOut(polys.size(), [&](std::size_t pid, const auto& visit) {
+      const auto [cx0, cy0, cx1, cy1] = cell_range(polys[pid].bbox());
       for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
-        for (std::int32_t cx = cx0; cx <= cx1; ++cx) {
-          cells_of[pid].push_back(
-              static_cast<std::int64_t>(cy) * resolution + cx);
-        }
+        const std::int64_t row = static_cast<std::int64_t>(cy) * resolution;
+        for (std::int32_t cx = cx0; cx <= cx1; ++cx) visit(row + cx);
       }
-    } else {
-      CellsIntersectingPolygon(poly, extent, resolution, index.cell_w_,
+    });
+  } else {
+    // Enumerating a polygon's geometry cells is costly, so each list is
+    // computed once and replayed by both passes.
+    std::vector<std::vector<std::int64_t>> cells_of(polys.size());
+    std::vector<std::int32_t> stamp(
+        static_cast<std::size_t>(resolution) * resolution, -1);
+    for (std::size_t pid = 0; pid < polys.size(); ++pid) {
+      CellsIntersectingPolygon(polys[pid], extent, resolution, index.cell_w_,
                                index.cell_h_, &stamp,
                                static_cast<std::int32_t>(pid),
                                &cells_of[pid]);
     }
-  }
-
-  // Pass 1: counts → offsets.
-  std::vector<std::int64_t> counts(num_cells, 0);
-  for (const auto& cells : cells_of) {
-    for (const std::int64_t c : cells) ++counts[c];
-  }
-  index.offsets_.assign(num_cells + 1, 0);
-  for (std::int64_t c = 0; c < num_cells; ++c) {
-    index.offsets_[c + 1] = index.offsets_[c] + counts[c];
-  }
-  index.entries_.assign(index.offsets_[num_cells], -1);
-
-  // Pass 2: fill.
-  std::vector<std::int64_t> cursor(index.offsets_.begin(),
-                                   index.offsets_.end() - 1);
-  for (std::size_t pid = 0; pid < polys.size(); ++pid) {
-    for (const std::int64_t c : cells_of[pid]) {
-      index.entries_[cursor[c]++] = static_cast<std::int32_t>(pid);
-    }
+    index.LayOut(polys.size(), [&](std::size_t pid, const auto& visit) {
+      for (const std::int64_t c : cells_of[pid]) visit(c);
+    });
   }
   return index;
 }

@@ -3,9 +3,11 @@
 ///
 /// §6.1 "Polygon Index": a grid where each cell stores the list of polygons
 /// whose bounding box (device build) or exact geometry (optimized CPU
-/// build, §7.1) intersects the cell. The device build is two-pass — count
+/// build, §7.1) intersects the cell. Both builds are two-pass — count
 /// then fill — into one contiguous allocation, mirroring the paper's
-/// custom linked-list layout built on the GPU per query.
+/// custom linked-list layout. The paper builds the device index on the GPU
+/// per query; here it is polygon preprocessing, built once per dataset
+/// (Executor::GetDeviceIndex).
 #pragma once
 
 #include <cstdint>
@@ -58,6 +60,12 @@ class GridIndex {
 
  private:
   GridIndex() = default;
+
+  /// Lays out offsets_/entries_ over resolution_² cells: counts, then
+  /// fills, the cells `for_each_cell(pid, visit)` passes to `visit` for
+  /// each polygon pid in [0, num_polys).
+  template <typename ForEachCell>
+  void LayOut(std::size_t num_polys, const ForEachCell& for_each_cell);
 
   std::int32_t resolution_ = 0;
   BBox extent_;

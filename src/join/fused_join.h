@@ -66,9 +66,6 @@ struct FusedJoinOptions {
   /// Canvas resolution (accurate variant; 0 = device max_fbo_dim).
   std::int32_t canvas_dim = 0;
 
-  /// Grid-index resolution for boundary points (accurate variant).
-  std::int32_t index_resolution = 1024;
-
   /// Prefetch batch b+1 while batch b draws (join::BatchPipeline).
   bool overlap_transfers = true;
 };

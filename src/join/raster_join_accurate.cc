@@ -11,10 +11,37 @@
 
 namespace rj {
 
+namespace {
+
+Status ValidateAccurateCanvas(std::int32_t dim, const BBox& world) {
+  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+  if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
+    return Status::InvalidArgument("world extent is empty");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::int32_t AccurateCanvasDim(const gpu::Device& device,
+                               std::int32_t canvas_dim) {
+  return canvas_dim > 0 ? canvas_dim : device.options().max_fbo_dim;
+}
+
+raster::Fbo BuildBoundaryMask(const PolygonSet& polys, const BBox& world,
+                              std::int32_t dim, gpu::Counters* counters,
+                              ThreadPool* pool) {
+  raster::Fbo mask(dim, dim);
+  raster::DrawBoundaries(raster::Viewport(world, dim, dim), polys,
+                         /*conservative=*/true, &mask, counters, pool);
+  return mask;
+}
+
 Result<FusedJoinOutput> FusedAccurateRasterJoin(
     gpu::Device* device, const data::PointBlockSource& source,
     std::vector<std::size_t> scan, const PolygonSet& polys,
     const TriangleSoup& soup, const BBox& world,
+    const raster::Fbo& boundary_mask, const GridIndex& index,
     const FusedJoinOptions& options,
     const std::vector<FusedMemberSpec>& members,
     AccurateRasterJoinStats* stats) {
@@ -27,12 +54,12 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   }
   const std::size_t m = members.size();
 
-  const std::int32_t dim = options.canvas_dim > 0
-                               ? options.canvas_dim
-                               : device->options().max_fbo_dim;
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
-  if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
-    return Status::InvalidArgument("world extent is empty");
+  const std::int32_t dim = AccurateCanvasDim(*device, options.canvas_dim);
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(dim, world));
+  if (boundary_mask.width() != dim || boundary_mask.height() != dim ||
+      !(index.extent() == world)) {
+    return Status::InvalidArgument(
+        "boundary mask / grid index were not built for this canvas");
   }
 
   FusedJoinOutput out;
@@ -41,28 +68,6 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   out.point_fbos.resize(m);
 
   raster::Viewport vp(world, dim, dim);
-
-  // --- Step 1: draw polygon outlines (conservative rasterization). -------
-  // The boundary FBO and grid index depend only on the polygons and the
-  // canvas — member-independent, built once for the group. Canvases are
-  // pooled (see fbo_pool.h).
-  raster::FboLease boundary_lease = raster::FboPool::Shared().Acquire(dim, dim);
-  raster::Fbo& boundary_fbo = *boundary_lease;
-  {
-    ScopedPhase sp(&out.timing, phase::kProcessing);
-    raster::DrawBoundaries(vp, polys, /*conservative=*/true, &boundary_fbo,
-                           &device->counters(), &device->pool());
-  }
-  // Build the grid index on the device, on the fly (§6.1 "Polygon Index").
-  RJ_ASSIGN_OR_RETURN(
-      GridIndex index,
-      [&]() {
-        Timer t;
-        auto r = GridIndex::Build(polys, world, options.index_resolution,
-                                  GridAssignMode::kMbr);
-        out.timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
-        return r;
-      }());
 
   std::vector<raster::FboLease> point_leases;
   point_leases.reserve(m);
@@ -128,7 +133,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
       const auto py = static_cast<std::int32_t>(std::floor(s.y));
       if (px < 0 || px >= dim || py < 0 || py >= dim) return 0;  // clipped
 
-      if (raster::IsBoundaryPixel(boundary_fbo, px, py)) {
+      if (raster::IsBoundaryPixel(boundary_mask, px, py)) {
         contained->clear();
         auto [cand_begin, cand_end] = index.Candidates(p);
         for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
@@ -249,7 +254,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   for (std::size_t t = 0; t < m; ++t) {
     ScopedPhase sp(&out.timing, phase::kProcessing);
     raster::ResultArrays poly_pass(polys.size());
-    raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_fbo,
+    raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_mask,
                          &poly_pass, &device->counters(), &device->pool());
     out.arrays[t].AddFrom(poly_pass);
     device->counters().AddRenderPasses(1);
@@ -274,12 +279,25 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const BBox& world,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats) {
+  const std::int32_t dim = AccurateCanvasDim(*device, options.canvas_dim);
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(dim, world));
+  // The polygon preprocessing, built per call (see the file comment).
+  PhaseTimer prep_timing;
+  Timer t;
+  RJ_ASSIGN_OR_RETURN(GridIndex index,
+                      GridIndex::Build(polys, world, options.index_resolution,
+                                       GridAssignMode::kMbr));
+  prep_timing.Add(phase::kIndexBuild, t.ElapsedSeconds());
+  t.Restart();
+  const raster::Fbo mask = BuildBoundaryMask(
+      polys, world, dim, &device->counters(), &device->pool());
+  prep_timing.Add(phase::kProcessing, t.ElapsedSeconds());
+
   FusedMemberSpec member;
   member.weight_column = options.weight_column;
   member.filters = options.filters;
   FusedJoinOptions group;
   group.canvas_dim = options.canvas_dim;
-  group.index_resolution = options.index_resolution;
   group.overlap_transfers = options.overlap_transfers;
   const data::TableBlockSource batches =
       TableBatches(device, points, member, options.batch_size,
@@ -287,7 +305,10 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
   RJ_ASSIGN_OR_RETURN(
       FusedJoinOutput out,
       FusedAccurateRasterJoin(device, batches, AllBlocks(batches), polys, soup,
-                              world, group, {member}, stats));
+                              world, mask, index, group, {member}, stats));
+  for (const auto& [name, seconds] : prep_timing.phases()) {
+    out.timing.Add(name, seconds);
+  }
   return SoloResult(&out);
 }
 

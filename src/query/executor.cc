@@ -226,6 +226,21 @@ Result<const GridIndex*> Executor::GetDeviceIndex(std::int32_t resolution) {
   return it->second.get();
 }
 
+Result<const raster::Fbo*> Executor::GetBoundaryMask(std::int32_t dim) {
+  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+  MutexLock lock(prep_mutex_);
+  auto it = boundary_masks_.find(dim);
+  if (it == boundary_masks_.end()) {
+    gpu::Counters preprocessing;  // not any query's work
+    raster::Fbo mask = BuildBoundaryMask(*polys_, world_, dim, &preprocessing,
+                                         &device()->pool());
+    it = boundary_masks_
+             .emplace(dim, std::make_unique<raster::Fbo>(std::move(mask)))
+             .first;
+  }
+  return it->second.get();
+}
+
 void Executor::SetShardReplicas(std::vector<std::vector<std::size_t>> replicas) {
   MutexLock lock(replica_mutex_);
   shard_replicas_ = std::move(replicas);
@@ -317,9 +332,8 @@ Result<BBox> Executor::PruningRegion(JoinVariant variant,
   } else if (variant == JoinVariant::kAccurateRaster) {
     // One pixel of the accurate canvas, over-approximated with the longer
     // world side (the canvas is square over the world extent).
-    const std::int32_t dim = query.accurate_canvas_dim > 0
-                                 ? query.accurate_canvas_dim
-                                 : max_fbo_dim;
+    const std::int32_t dim =
+        AccurateCanvasDim(*device(), query.accurate_canvas_dim);
     pad = std::max(world_.Width(), world_.Height()) /
           static_cast<double>(std::max<std::int32_t>(dim, 1));
   }
@@ -507,11 +521,19 @@ Result<Executor::GroupSetup> Executor::PrepareGroup(
     RJ_ASSIGN_OR_RETURN(setup.cpu_index,
                         GetCpuIndex(IndexJoinOptions{}.index_resolution));
   }
-  if (setup.variant == JoinVariant::kIndexDevice) {
-    // The §6.2 baseline's per-query device index, hoisted into the prep
-    // cache: repeated queries (the multi-query workload) skip the rebuild.
+  if (setup.variant == JoinVariant::kIndexDevice ||
+      setup.variant == JoinVariant::kAccurateRaster) {
+    // The paper's per-query device index (§6.2 baseline; the accurate
+    // join's boundary points, at the same 1024² MBR construction), hoisted
+    // into the prep cache: repeated queries and sibling shards skip the
+    // rebuild.
     RJ_ASSIGN_OR_RETURN(setup.device_index,
                         GetDeviceIndex(IndexJoinOptions{}.index_resolution));
+  }
+  if (setup.variant == JoinVariant::kAccurateRaster) {
+    const std::int32_t dim =
+        AccurateCanvasDim(*device(), queries[0].accurate_canvas_dim);
+    RJ_ASSIGN_OR_RETURN(setup.boundary_mask, GetBoundaryMask(dim));
   }
   return setup;
 }
@@ -592,7 +614,9 @@ Result<FusedJoinOutput> Executor::JoinShard(
                                         setup.members)
                : FusedAccurateRasterJoin(device, *source, std::move(scan),
                                          *polys_, *setup.soup, world_,
-                                         options, setup.members);
+                                         *setup.boundary_mask,
+                                         *setup.device_index, options,
+                                         setup.members);
   }
   RJ_ASSIGN_OR_RETURN(JoinResult join,
                       RunIndexJoin(device, *source, std::move(scan), overlap,

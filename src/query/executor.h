@@ -2,9 +2,10 @@
 /// \brief Query executor: prepares polygon data, places the query on the
 /// dataset's shards, runs the chosen join operator on each, and gathers.
 ///
-/// Owns the per-query polygon processing the paper measures in Table 1
-/// (triangulation for the raster variants, grid-index construction for the
-/// baselines) and the device(s) it executes on.
+/// Owns the polygon processing the paper measures in Table 1
+/// (triangulation, grid indexes, the accurate variant's boundary masks) —
+/// built once per dataset, lazily, on first use — and the device(s) it
+/// executes on.
 ///
 /// One execution shape: a dataset is a list of shards, each a
 /// data::PointBlockSource plus its zone map and home device — the batched
@@ -34,10 +35,10 @@
 ///
 /// Thread-safety contract (docs/SERVICE.md): one Executor may serve
 /// concurrent Execute() calls from many threads. The preprocessing caches
-/// (triangulation, CPU grid indexes) are built once under an internal
-/// mutex and then shared read-only; everything else in Execute() works on
-/// per-call state. Mutating cost_params() while queries are in flight is
-/// not synchronized — configure it before serving traffic.
+/// (triangulation, grid indexes, boundary masks) are built once under an
+/// internal mutex and then shared read-only; everything else in Execute()
+/// works on per-call state. Mutating cost_params() while queries are in
+/// flight is not synchronized — configure it before serving traffic.
 #pragma once
 
 #include <atomic>
@@ -97,9 +98,11 @@ struct AdmissionPlan {
 };
 
 /// Executes spatial aggregation queries against one (points, polygons)
-/// pair. Polygon preprocessing (triangulation; CPU index) is computed
-/// lazily and cached across queries, mirroring the paper's setup where
-/// CPU indexes are pre-built but device structures are per-query.
+/// pair. Polygon preprocessing (triangulation, grid indexes, boundary
+/// masks) is computed lazily and cached across queries and shards: it
+/// depends only on the immutable polygons, the world and the resolution,
+/// so a query's results and counters do not depend on whether it ran cold
+/// or warm.
 class Executor {
  public:
   /// In-memory table: one RAM shard on `device`. Neither `points` nor
@@ -280,13 +283,21 @@ class Executor {
   [[nodiscard]] Result<const GridIndex*> GetCpuIndex(std::int32_t resolution)
       RJ_EXCLUDES(prep_mutex_);
 
-  /// Cached MBR-mode grid index for the device index-join variant. The
-  /// paper's §6.2 baseline rebuilds this per query; caching it across
-  /// queries (it is a pure function of the immutable polygon set, world,
-  /// and resolution) removes the rebuild from repeated traffic without
-  /// changing results — IndexJoinDevice consumes it as a prebuilt index.
+  /// Cached MBR-mode grid index, shared by the device index-join variant
+  /// and the accurate raster join's boundary points. The paper rebuilds it
+  /// per query; caching it across queries (it is a pure function of the
+  /// immutable polygon set, world, and resolution) removes the rebuild
+  /// from repeated traffic without changing results — both joins consume
+  /// it prebuilt.
   [[nodiscard]] Result<const GridIndex*> GetDeviceIndex(
       std::int32_t resolution) RJ_EXCLUDES(prep_mutex_);
+
+  /// Cached boundary mask of the accurate variant's dim × dim canvas over
+  /// world() (BuildBoundaryMask; step 1 of §4.3), built on the primary
+  /// device's pool. Its outline fragments are preprocessing: they are
+  /// metered into a private counter, never into a query's counters.
+  [[nodiscard]] Result<const raster::Fbo*> GetBoundaryMask(std::int32_t dim)
+      RJ_EXCLUDES(prep_mutex_);
 
   /// Cost-model parameters for the kAuto variant. Not synchronized:
   /// configure before serving concurrent queries.
@@ -333,7 +344,7 @@ class Executor {
 
   /// Per-group preamble: aggregate validation, variant resolution and
   /// group compatibility, the union upload stride, and the preprocessing
-  /// the resolved variant needs (triangulation / CPU index).
+  /// the resolved variant needs (triangulation, index, boundary mask).
   struct GroupSetup {
     JoinVariant variant = JoinVariant::kAuto;
     std::vector<FusedMemberSpec> members;
@@ -341,7 +352,9 @@ class Executor {
     std::size_t stride = 0;
     const TriangleSoup* soup = nullptr;       ///< raster variants
     const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
-    const GridIndex* device_index = nullptr;  ///< kIndexDevice (prebuilt)
+    const GridIndex* device_index = nullptr;  ///< kIndexDevice, kAccurateRaster
+    /// kAccurateRaster: the canvas's boundary mask.
+    const raster::Fbo* boundary_mask = nullptr;
   };
 
   /// Shared constructor head: the device pool, polygons, plan cache.
@@ -412,19 +425,23 @@ class Executor {
   CostModelInputs cost_inputs_;
 
   /// Guards the lazily-built caches below. Once built they are immutable
-  /// (indexes are per-resolution map entries with stable addresses), so
-  /// the pointers Get* return under the lock stay valid — and safely
-  /// readable without it — for the Executor's lifetime. The analysis
-  /// cannot see that build-once contract, which is why the escaping
-  /// pointers (not the guarded containers) are handed to callers.
+  /// (indexes and masks are per-resolution map entries with stable
+  /// addresses), so the pointers Get* return under the lock stay valid —
+  /// and safely readable without it — for the Executor's lifetime. The
+  /// analysis cannot see that build-once contract, which is why the
+  /// escaping pointers (not the guarded containers) are handed to callers.
   Mutex prep_mutex_;
   bool soup_built_ RJ_GUARDED_BY(prep_mutex_) = false;
   TriangleSoup soup_ RJ_GUARDED_BY(prep_mutex_);
   double triangulation_seconds_ RJ_GUARDED_BY(prep_mutex_) = 0.0;
   std::map<std::int32_t, std::unique_ptr<GridIndex>> cpu_indexes_
       RJ_GUARDED_BY(prep_mutex_);
-  /// MBR-mode indexes for the device variant, cached like cpu_indexes_.
+  /// MBR-mode indexes (device and accurate variants), cached like
+  /// cpu_indexes_.
   std::map<std::int32_t, std::unique_ptr<GridIndex>> device_indexes_
+      RJ_GUARDED_BY(prep_mutex_);
+  /// Accurate-variant boundary masks, one per canvas dim.
+  std::map<std::int32_t, std::unique_ptr<raster::Fbo>> boundary_masks_
       RJ_GUARDED_BY(prep_mutex_);
 
   /// Guards the replica map (written by QueryService's heat tracker while

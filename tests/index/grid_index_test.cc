@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/datasets.h"
@@ -108,6 +109,53 @@ TEST(GridIndexTest, MbrModeCandidatesSupersetOfExactMode) {
       EXPECT_TRUE(mset.count(*c));
     }
   }
+}
+
+TEST(GridIndexTest, MbrBuildMatchesBruteForceOverlap) {
+  // 16 × 16 grid of unit cells over [0, 16)²: coordinates on a quarter
+  // grid are exact, so floor-based cell ranges are unambiguous. Cells are
+  // half-open, and the edge cells extend outward (MBRs are clamped).
+  constexpr std::int32_t kRes = 16;
+  Rng rng(23);
+  PolygonSet polys;
+  for (int i = 0; i < 40; ++i) {
+    const double x0 = rng.UniformInt(80) * 0.25 - 2.0;  // [-2, 17.75]
+    const double y0 = rng.UniformInt(80) * 0.25 - 2.0;
+    const double w = 0.25 + rng.UniformInt(24) * 0.25;
+    const double h = 0.25 + rng.UniformInt(24) * 0.25;
+    polys.emplace_back(
+        Ring{{x0, y0}, {x0 + w, y0}, {x0 + w, y0 + h}, {x0, y0 + h}});
+    polys.back().set_id(i);
+    ASSERT_TRUE(polys.back().Normalize().ok());
+  }
+  auto index = GridIndex::Build(polys, BBox(0, 0, kRes, kRes), kRes,
+                                GridAssignMode::kMbr);
+  ASSERT_TRUE(index.ok());
+
+  // Whether [lo, hi] overlaps cell c's span on one axis.
+  const auto overlaps = [](double lo, double hi, std::int32_t c) {
+    const bool below = c > 0 && hi < c;
+    const bool above = c < kRes - 1 && lo >= c + 1;
+    return !below && !above;
+  };
+  std::size_t total = 0;
+  for (std::int32_t cy = 0; cy < kRes; ++cy) {
+    for (std::int32_t cx = 0; cx < kRes; ++cx) {
+      std::vector<std::int32_t> expected;
+      for (std::size_t pid = 0; pid < polys.size(); ++pid) {
+        const BBox& mbr = polys[pid].bbox();
+        if (overlaps(mbr.min_x, mbr.max_x, cx) &&
+            overlaps(mbr.min_y, mbr.max_y, cy)) {
+          expected.push_back(static_cast<std::int32_t>(pid));
+        }
+      }
+      auto [begin, end] = index.value().Candidates({cx + 0.5, cy + 0.5});
+      EXPECT_EQ(std::vector<std::int32_t>(begin, end), expected)
+          << "cell (" << cx << ", " << cy << ")";
+      total += expected.size();
+    }
+  }
+  EXPECT_EQ(index.value().TotalEntries(), total);
 }
 
 TEST(GridIndexTest, SizeBytesPositive) {

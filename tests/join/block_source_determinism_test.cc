@@ -102,19 +102,26 @@ Result<FusedJoinOutput> BoundedOverBlocks(
 }
 
 /// The accurate variant over blocks `scan` of `source` (see
-/// BoundedOverBlocks).
+/// BoundedOverBlocks), with its polygon preprocessing built as the table
+/// form builds it (options.canvas_dim must be set).
 Result<FusedJoinOutput> AccurateOverBlocks(
     gpu::Device* device, const data::PointBlockSource& source,
     std::vector<std::size_t> scan, const JoinSetup& s,
     const AccurateRasterJoinOptions& options) {
   FusedJoinOptions group;
   group.canvas_dim = options.canvas_dim;
-  group.index_resolution = options.index_resolution;
+  RJ_ASSIGN_OR_RETURN(GridIndex index,
+                      GridIndex::Build(s.polys, s.world,
+                                       options.index_resolution,
+                                       GridAssignMode::kMbr));
+  const raster::Fbo mask =
+      BuildBoundaryMask(s.polys, s.world, options.canvas_dim, nullptr);
   FusedMemberSpec member;
   member.weight_column = options.weight_column;
   member.filters = options.filters;
   return FusedAccurateRasterJoin(device, source, std::move(scan), s.polys,
-                                 s.soup, s.world, group, {member});
+                                 s.soup, s.world, mask, index, group,
+                                 {member});
 }
 
 /// Writes `points` as a v2 block file at the given capacity and opens it.
