@@ -1,15 +1,18 @@
 /// \file bench_micro_primitives.cpp
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// join operators are built from: PIP tests, triangle rasterization,
-/// point drawing, grid builds and probes, and triangulation.
+/// point and polygon drawing, grid builds and probes, and triangulation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/datasets.h"
+#include "data/sharded_table.h"
 #include "data/taxi_generator.h"
 #include "geometry/pip.h"
 #include "index/grid_index.h"
@@ -79,6 +82,89 @@ void BM_DrawPoints(benchmark::State& state) {
 BENCHMARK(BM_DrawPoints)
     ->ArgNames({"points", "workers", "weighted"})
     ->ArgsProduct({{100'000, 500'000}, {1, 4}, {0, 1}})
+    ->UseRealTime();
+
+/// Inputs of BM_DrawPolygons, built once: the NYC neighborhoods'
+/// triangle soup and 200k rides cut into 4 Hilbert shards (the served
+/// sharded layout); each case draws shard 0's points.
+struct PolygonPassInputs {
+  TriangleSoup soup;
+  PolygonSet polys;
+  data::ShardedTable shards;
+};
+
+const PolygonPassInputs* GetPolygonPassInputs() {
+  static const PolygonPassInputs* inputs = []() -> PolygonPassInputs* {
+    auto polys = NycNeighborhoods();
+    if (!polys.ok()) return nullptr;
+    auto soup = TriangulatePolygonSet(polys.value());
+    if (!soup.ok()) return nullptr;
+    data::ShardingOptions sharding;
+    sharding.num_shards = 4;
+    sharding.policy = data::ShardPolicy::kHilbert;
+    auto shards =
+        data::ShardedTable::Partition(GenerateTaxiPoints(200'000), sharding);
+    if (!shards.ok()) return nullptr;
+    return new PolygonPassInputs{std::move(soup).MoveValueUnsafe(),
+                                 std::move(polys).MoveValueUnsafe(),
+                                 std::move(shards).MoveValueUnsafe()};
+  }();
+  return inputs;
+}
+
+/// The polygon pass (Step II) over the NYC soup on one shard's point
+/// canvas. Args: accurate (1 = the 1024² accurate canvas, skipping
+/// boundary-mask pixels; 0 = the bounded ε = 100 canvas); scissor (1 = the
+/// shard's pixel rectangle, as the joins pass it; 0 = the whole canvas);
+/// workers.
+void BM_DrawPolygons(benchmark::State& state) {
+  const PolygonPassInputs* in = GetPolygonPassInputs();
+  if (in == nullptr) {
+    state.SkipWithError("input generation failed");
+    return;
+  }
+  const bool accurate = state.range(0) != 0;
+  const BBox world = NycExtentMeters();
+  raster::CanvasTile tile = raster::SingleCanvas(world, 1024, 1024);
+  if (!accurate) {
+    auto tiles = raster::PlanCanvas(world, 100.0, 4096);
+    if (!tiles.ok() || tiles.value().size() != 1) {
+      state.SkipWithError("bounded canvas is not one tile");
+      return;
+    }
+    tile = tiles.value()[0];
+  }
+  const raster::Viewport vp(tile.world, tile.width, tile.height);
+  ThreadPool pool(static_cast<std::size_t>(state.range(2)));
+  const PointTable& shard = in->shards.shard(0);
+  raster::Fbo point_fbo(tile.width, tile.height);
+  raster::DrawPoints(vp, shard, FilterSet(), 0, &point_fbo, nullptr, &pool);
+  std::optional<raster::Fbo> mask;
+  if (accurate) {
+    mask.emplace(tile.width, tile.height);
+    raster::DrawBoundaries(vp, in->polys, /*conservative=*/true, &*mask,
+                           nullptr, &pool);
+  }
+  const raster::PixelRect scissor = state.range(1) != 0
+                                        ? vp.PixelCover(shard.Extent())
+                                        : raster::PixelRect();
+  gpu::Counters counters;
+  for (auto _ : state) {
+    raster::ResultArrays arrays(in->polys.size());
+    raster::DrawPolygons(vp, in->soup, point_fbo,
+                         mask.has_value() ? &*mask : nullptr, &arrays,
+                         &counters, &pool, scissor);
+    benchmark::DoNotOptimize(arrays.sum.data());
+  }
+  state.counters["fragments"] = benchmark::Counter(
+      static_cast<double>(counters.fragments()) /
+      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(counters.fragments()));
+}
+BENCHMARK(BM_DrawPolygons)
+    ->ArgNames({"accurate", "scissor", "workers"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 2}})
+    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_GridProbe(benchmark::State& state) {

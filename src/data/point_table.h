@@ -115,6 +115,10 @@ class PointTable {
     return cached_extent_;
   }
 
+  /// True when Extent() is O(1): CacheExtent() ran after the last
+  /// mutation.
+  bool extent_cached() const { return extent_valid_; }
+
   /// Bytes per point shipped to the device: x, y as float32 plus each
   /// referenced attribute as float32 (the paper packs the VBO this way).
   static std::size_t DeviceBytesPerPoint(std::size_t num_referenced_attrs) {

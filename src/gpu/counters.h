@@ -18,6 +18,10 @@ namespace rj::gpu {
 /// (unlike Counters, whose atomics pin it in place), so QueryService can
 /// attach per-query accounting snapshots to futures-based results.
 struct CountersSnapshot {
+  /// Fragments shaded: one per point a point pass draws, plus one per
+  /// pixel a polygon pass scans. The raster joins scissor the polygon
+  /// pass to the pixels their scan's points can reach, so a sharded query
+  /// counts each shard's own region, not S whole canvases.
   std::uint64_t fragments = 0;
   std::uint64_t vertices = 0;
   std::uint64_t bytes_transferred = 0;

@@ -90,6 +90,17 @@ std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source) {
   return blocks;
 }
 
+BBox ScanBounds(const data::PointBlockSource& source,
+                const std::vector<std::size_t>& scan) {
+  BBox bounds;
+  for (const std::size_t b : scan) {
+    const data::BlockZoneMap* zone = source.zone_map(b);
+    if (zone == nullptr) return source.extent();
+    bounds.Expand(zone->bbox);
+  }
+  return bounds;
+}
+
 JoinResult ReferenceJoin(const PointTable& points, const PolygonSet& polys,
                          const FilterSet& filters, std::size_t weight_column) {
   JoinResult result(polys.size());

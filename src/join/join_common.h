@@ -197,6 +197,15 @@ BlockSelection SelectBlocks(const data::PointBlockSource& source,
 /// unpruned scan.
 std::vector<std::size_t> AllBlocks(const data::PointBlockSource& source);
 
+/// World bounds of every row a scan of blocks `scan` reads: the union of
+/// the scanned blocks' zone-map boxes, or source.extent() as soon as one
+/// of them has no zone map. A raster join maps it to its polygon-pass
+/// scissor (Viewport::PixelCover): a row's pixel lies inside, so pixels
+/// outside have count 0 and the scissor changes no result bit. Rows with
+/// NaN coordinates, which zone maps and extents leave out, reach no pixel.
+BBox ScanBounds(const data::PointBlockSource& source,
+                const std::vector<std::size_t>& scan);
+
 /// Brute-force all-pairs reference implementation (test oracle): for every
 /// point passing the filters, test every polygon. O(|P| · Σ|vertices|).
 JoinResult ReferenceJoin(const PointTable& points, const PolygonSet& polys,

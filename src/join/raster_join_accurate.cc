@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "geometry/pip.h"
@@ -13,8 +14,9 @@ namespace rj {
 
 namespace {
 
-Status ValidateAccurateCanvas(std::int32_t dim, const BBox& world) {
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+Status ValidateAccurateCanvas(const gpu::Device& device, std::int32_t dim,
+                              const BBox& world) {
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvasDim(device, dim));
   if (world.IsEmpty() || world.Width() <= 0 || world.Height() <= 0) {
     return Status::InvalidArgument("world extent is empty");
   }
@@ -26,6 +28,17 @@ Status ValidateAccurateCanvas(std::int32_t dim, const BBox& world) {
 std::int32_t AccurateCanvasDim(const gpu::Device& device,
                                std::int32_t canvas_dim) {
   return canvas_dim > 0 ? canvas_dim : device.options().max_fbo_dim;
+}
+
+Status ValidateAccurateCanvasDim(const gpu::Device& device, std::int32_t dim) {
+  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+  if (dim > device.options().max_fbo_dim) {
+    return Status::InvalidArgument(
+        "canvas dimension " + std::to_string(dim) +
+        " exceeds the device's max_fbo_dim " +
+        std::to_string(device.options().max_fbo_dim));
+  }
+  return Status::OK();
 }
 
 raster::Fbo BuildBoundaryMask(const PolygonSet& polys, const BBox& world,
@@ -55,7 +68,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   const std::size_t m = members.size();
 
   const std::int32_t dim = AccurateCanvasDim(*device, options.canvas_dim);
-  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(dim, world));
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(*device, dim, world));
   if (boundary_mask.width() != dim || boundary_mask.height() != dim ||
       !(index.extent() == world)) {
     return Status::InvalidArgument(
@@ -68,6 +81,9 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
   out.point_fbos.resize(m);
 
   raster::Viewport vp(world, dim, dim);
+  // The polygon pass reads the point FBO only where the scan's points can
+  // land (Procedure DrawPolygons).
+  const raster::PixelRect scissor = vp.PixelCover(ScanBounds(source, scan));
 
   std::vector<raster::FboLease> point_leases;
   point_leases.reserve(m);
@@ -255,7 +271,8 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
     ScopedPhase sp(&out.timing, phase::kProcessing);
     raster::ResultArrays poly_pass(polys.size());
     raster::DrawPolygons(vp, soup, *point_leases[t], &boundary_mask,
-                         &poly_pass, &device->counters(), &device->pool());
+                         &poly_pass, &device->counters(), &device->pool(),
+                         scissor);
     out.arrays[t].AddFrom(poly_pass);
     device->counters().AddRenderPasses(1);
   }
@@ -280,7 +297,7 @@ Result<JoinResult> AccurateRasterJoin(gpu::Device* device,
                                       const AccurateRasterJoinOptions& options,
                                       AccurateRasterJoinStats* stats) {
   const std::int32_t dim = AccurateCanvasDim(*device, options.canvas_dim);
-  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(dim, world));
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvas(*device, dim, world));
   // The polygon preprocessing, built per call (see the file comment).
   PhaseTimer prep_timing;
   Timer t;

@@ -64,6 +64,11 @@ struct AccurateRasterJoinStats {
 std::int32_t AccurateCanvasDim(const gpu::Device& device,
                                std::int32_t canvas_dim);
 
+/// InvalidArgument unless 0 < `dim` <= the device's max FBO side: the
+/// accurate canvas is one tile, so a larger side is a dim² canvas (and
+/// boundary mask) the device cannot hold.
+Status ValidateAccurateCanvasDim(const gpu::Device& device, std::int32_t dim);
+
 /// Step 1: the outlines of `polys`, conservatively rasterized into a new
 /// dim × dim mask over `world` (fragments metered into `counters`, which
 /// may be null).

@@ -68,6 +68,10 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   // upload is for transfer-cost fidelity — see DESIGN.md §2.)
   const std::vector<std::size_t> columns = FusedUploadColumns(members);
   const std::size_t num_batches = scan.size();
+  // Where the scan's points can land; each tile's polygon pass is
+  // scissored to it (Procedure DrawPolygons reads the point FBO only where
+  // points can be).
+  const BBox scan_bounds = ScanBounds(source, scan);
 
   // Ship and meter the triangle VBO exactly once per execution: it is the
   // same bytes for every tile pass and every member, so re-uploading it
@@ -90,6 +94,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     const raster::CanvasTile& tile = tiles[t];
     raster::Viewport vp(tile.world, tile.width, tile.height);
+    const raster::PixelRect scissor = vp.PixelCover(scan_bounds);
 
     // One pooled canvas per member (per-query FBO allocation is the
     // dominant transient under concurrent traffic, see fbo_pool.h);
@@ -148,7 +153,7 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
         raster::ResultArrays tile_result(polys.size());
         raster::DrawPolygons(vp, soup, point_fbo, /*boundary_fbo=*/nullptr,
                              &tile_result, &device->counters(),
-                             &device->pool());
+                             &device->pool(), scissor);
         out.arrays[i].AddFrom(tile_result);
       }
       device->counters().AddRenderPasses(1);

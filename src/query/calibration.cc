@@ -35,6 +35,9 @@ Result<CostModelParams> CalibrateCostModel(gpu::Device* device) {
   }
 
   // --- per-fragment cost: rasterize large triangles. ---------------------
+  // CountTriangleFragments runs the span walk the polygon pass uses, so
+  // per_fragment prices a fragment at the walk's cost (no per-pixel test
+  // outside each row's edge span).
   {
     constexpr std::int32_t kDim = 1024;
     Timer t;

@@ -226,19 +226,39 @@ Result<const GridIndex*> Executor::GetDeviceIndex(std::int32_t resolution) {
   return it->second.get();
 }
 
-Result<const raster::Fbo*> Executor::GetBoundaryMask(std::int32_t dim) {
-  if (dim <= 0) return Status::InvalidArgument("canvas dimension must be > 0");
+Result<std::shared_ptr<const raster::Fbo>> Executor::GetBoundaryMask(
+    std::int32_t dim) {
+  RJ_RETURN_NOT_OK(ValidateAccurateCanvasDim(*device(), dim));
   MutexLock lock(prep_mutex_);
   auto it = boundary_masks_.find(dim);
   if (it == boundary_masks_.end()) {
     gpu::Counters preprocessing;  // not any query's work
-    raster::Fbo mask = BuildBoundaryMask(*polys_, world_, dim, &preprocessing,
-                                         &device()->pool());
-    it = boundary_masks_
-             .emplace(dim, std::make_unique<raster::Fbo>(std::move(mask)))
-             .first;
+    auto mask = std::make_shared<const raster::Fbo>(BuildBoundaryMask(
+        *polys_, world_, dim, &preprocessing, &device()->pool()));
+    boundary_mask_bytes_ += mask->size_bytes();
+    it = boundary_masks_.emplace(dim, CachedMask{std::move(mask), 0}).first;
+    // Evict least recently used masks past the budget, never the new one.
+    // A query still running on an evicted mask holds its own reference.
+    while (boundary_mask_bytes_ > kBoundaryMaskCacheBytes &&
+           boundary_masks_.size() > 1) {
+      auto lru = boundary_masks_.end();
+      for (auto e = boundary_masks_.begin(); e != boundary_masks_.end(); ++e) {
+        if (e != it && (lru == boundary_masks_.end() ||
+                        e->second.last_used < lru->second.last_used)) {
+          lru = e;
+        }
+      }
+      boundary_mask_bytes_ -= lru->second.mask->size_bytes();
+      boundary_masks_.erase(lru);
+    }
   }
-  return it->second.get();
+  it->second.last_used = ++mask_clock_;
+  return it->second.mask;
+}
+
+std::size_t Executor::boundary_mask_cache_bytes() {
+  MutexLock lock(prep_mutex_);
+  return boundary_mask_bytes_;
 }
 
 void Executor::SetShardReplicas(std::vector<std::vector<std::size_t>> replicas) {

@@ -296,8 +296,20 @@ class Executor {
   /// world() (BuildBoundaryMask; step 1 of §4.3), built on the primary
   /// device's pool. Its outline fragments are preprocessing: they are
   /// metered into a private counter, never into a query's counters.
-  [[nodiscard]] Result<const raster::Fbo*> GetBoundaryMask(std::int32_t dim)
-      RJ_EXCLUDES(prep_mutex_);
+  /// InvalidArgument unless 0 < dim <= max_fbo_dim. The cache holds at
+  /// most kBoundaryMaskCacheBytes of masks (always at least the newest),
+  /// evicting the least recently used, so a client cycling through dims
+  /// cannot grow it; a caller's reference outlives an eviction.
+  [[nodiscard]] Result<std::shared_ptr<const raster::Fbo>> GetBoundaryMask(
+      std::int32_t dim) RJ_EXCLUDES(prep_mutex_);
+
+  /// Byte budget of the boundary-mask cache: four 1024² masks.
+  static constexpr std::size_t kBoundaryMaskCacheBytes = std::size_t{64}
+                                                         << 20;
+
+  /// Bytes of boundary masks cached now (at most kBoundaryMaskCacheBytes,
+  /// or one mask when a single mask is larger).
+  std::size_t boundary_mask_cache_bytes() RJ_EXCLUDES(prep_mutex_);
 
   /// Cost-model parameters for the kAuto variant. Not synchronized:
   /// configure before serving concurrent queries.
@@ -353,8 +365,9 @@ class Executor {
     const TriangleSoup* soup = nullptr;       ///< raster variants
     const GridIndex* cpu_index = nullptr;     ///< kIndexCpu
     const GridIndex* device_index = nullptr;  ///< kIndexDevice, kAccurateRaster
-    /// kAccurateRaster: the canvas's boundary mask.
-    const raster::Fbo* boundary_mask = nullptr;
+    /// kAccurateRaster: the canvas's boundary mask (held for the group's
+    /// execution; the cache may evict it meanwhile).
+    std::shared_ptr<const raster::Fbo> boundary_mask;
   };
 
   /// Shared constructor head: the device pool, polygons, plan cache.
@@ -425,9 +438,10 @@ class Executor {
   CostModelInputs cost_inputs_;
 
   /// Guards the lazily-built caches below. Once built they are immutable
-  /// (indexes and masks are per-resolution map entries with stable
-  /// addresses), so the pointers Get* return under the lock stay valid —
-  /// and safely readable without it — for the Executor's lifetime. The
+  /// (indexes are per-resolution map entries with stable addresses), so
+  /// the pointers Get* return under the lock stay valid — and safely
+  /// readable without it — for the Executor's lifetime; boundary masks,
+  /// which the cache may evict, are handed out as shared references. The
   /// analysis cannot see that build-once contract, which is why the
   /// escaping pointers (not the guarded containers) are handed to callers.
   Mutex prep_mutex_;
@@ -440,9 +454,16 @@ class Executor {
   /// cpu_indexes_.
   std::map<std::int32_t, std::unique_ptr<GridIndex>> device_indexes_
       RJ_GUARDED_BY(prep_mutex_);
-  /// Accurate-variant boundary masks, one per canvas dim.
-  std::map<std::int32_t, std::unique_ptr<raster::Fbo>> boundary_masks_
+  /// Accurate-variant boundary masks, one per canvas dim, LRU-bounded by
+  /// kBoundaryMaskCacheBytes (GetBoundaryMask).
+  struct CachedMask {
+    std::shared_ptr<const raster::Fbo> mask;
+    std::uint64_t last_used = 0;  ///< mask_clock_ at the last lookup
+  };
+  std::map<std::int32_t, CachedMask> boundary_masks_
       RJ_GUARDED_BY(prep_mutex_);
+  std::size_t boundary_mask_bytes_ RJ_GUARDED_BY(prep_mutex_) = 0;
+  std::uint64_t mask_clock_ RJ_GUARDED_BY(prep_mutex_) = 0;
 
   /// Guards the replica map (written by QueryService's heat tracker while
   /// queries are in flight; read by every placement).

@@ -24,7 +24,9 @@ struct QueryResult {
   /// Device work attributed to this query: the delta of every device an
   /// executing shard ran on, plus the routing decisions. Exact when no
   /// other query overlapped — counters live on the Device, where
-  /// concurrent queries share one meter.
+  /// concurrent queries share one meter. `fragments` counts the polygon
+  /// pass only inside each shard's scissor (the pixels its scanned points
+  /// can reach), so it sums shard regions rather than S full canvases.
   gpu::CountersSnapshot counters;
   /// Total wall time of Execute().
   double total_seconds = 0.0;

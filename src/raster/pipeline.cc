@@ -205,9 +205,11 @@ std::vector<std::uint64_t> DrawPointsMulti(
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
                   const Fbo& point_fbo, const Fbo* boundary_fbo,
                   ResultArrays* result, gpu::Counters* counters,
-                  ThreadPool* pool) {
+                  ThreadPool* pool, const PixelRect& scissor) {
   const bool min_max_tracked = !result->min.empty();
   const std::size_t num_polygons = result->count.size();
+  const PixelRect clip =
+      scissor.Intersect({0, 0, point_fbo.width(), point_fbo.height()});
 
   // Per-worker meter kept in plain integers so the fragment loop never
   // touches the shared atomics; merged into `counters` once at the end.
@@ -216,41 +218,55 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
     std::uint64_t atomics = 0;
   };
 
-  // Shades one triangle into `acc`, metering into `meter`.
+  // Shades one triangle into `acc`, metering into `meter`. Its polygon's
+  // accumulators live in locals for the whole scan: loaded once, added in
+  // fragment order, stored once — the very additions, in the very order,
+  // of adding into `acc` per fragment.
   const auto shade = [&](const Triangle& tri, ResultArrays* acc,
                          Meter* meter) {
     const std::size_t id = static_cast<std::size_t>(tri.polygon_id);
-    const Point a = vp.ToScreen(tri.a);
-    const Point b = vp.ToScreen(tri.b);
-    const Point c = vp.ToScreen(tri.c);
+    double count = acc->count[id];
+    double sum = acc->sum[id];
+    double min = min_max_tracked ? acc->min[id] : 0.0;
+    double max = min_max_tracked ? acc->max[id] : 0.0;
+    std::uint64_t fragments = 0;
+    std::uint64_t atomics = 0;
     RasterizeTriangle(
-        a, b, c, point_fbo.width(), point_fbo.height(),
+        vp.ToScreen(tri.a), vp.ToScreen(tri.b), vp.ToScreen(tri.c), clip,
         [&](std::int32_t x, std::int32_t y) {
-          ++meter->fragments;
+          ++fragments;
           if (boundary_fbo != nullptr && IsBoundaryPixel(*boundary_fbo, x, y)) {
             // Accurate variant: boundary pixels were handled point-by-point.
             return;
           }
           const float cnt = point_fbo.At(x, y, kChannelCount);
           if (cnt == 0.0f) return;  // empty pixel, nothing to accumulate
-          acc->count[id] += cnt;
-          acc->sum[id] += point_fbo.At(x, y, kChannelSum);
+          count += cnt;
+          sum += point_fbo.At(x, y, kChannelSum);
           if (min_max_tracked) {
-            acc->min[id] = std::min(
-                acc->min[id], static_cast<double>(point_fbo.At(x, y,
-                                                               kChannelMin)));
-            acc->max[id] = std::max(
-                acc->max[id], static_cast<double>(point_fbo.At(x, y,
-                                                               kChannelMax)));
+            min = std::min(
+                min, static_cast<double>(point_fbo.At(x, y, kChannelMin)));
+            max = std::max(
+                max, static_cast<double>(point_fbo.At(x, y, kChannelMax)));
           }
-          ++meter->atomics;
+          ++atomics;
         });
+    acc->count[id] = count;
+    acc->sum[id] = sum;
+    if (min_max_tracked) {
+      acc->min[id] = min;
+      acc->max[id] = max;
+    }
+    meter->fragments += fragments;
+    meter->atomics += atomics;
   };
 
   Meter totals;
   const std::size_t num_chunks =
       pool != nullptr ? pool->NumChunks(soup.size()) : 1;
-  if (num_chunks <= 1) {
+  if (clip.empty()) {
+    // Nothing to shade: no pixel in the scissor can hold a point.
+  } else if (num_chunks <= 1) {
     for (const Triangle& tri : soup) shade(tri, result, &totals);
   } else {
     // Triangles split across workers; each accumulates into a private

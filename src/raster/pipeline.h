@@ -152,6 +152,12 @@ std::vector<std::uint64_t> DrawPointsMulti(
 /// If `boundary_fbo` is non-null, fragments on boundary pixels are skipped
 /// (Procedure AccuratePolygons, §4.3).
 ///
+/// Only fragments inside `scissor` (clipped to the canvas; the default is
+/// the whole canvas) are shaded and metered. A scissor that holds every
+/// pixel with a non-zero count changes no result bit: an empty pixel adds
+/// nothing. The joins pass the pixels their point scan can have touched
+/// (ScanBounds), so the pass costs the scanned region, not the canvas.
+///
 /// When `pool` has more than one worker, triangles are split across
 /// workers, each accumulating into a private ResultArrays + gpu::Counters
 /// merged in chunk order at the end. COUNT/MIN/MAX merge exactly; SUM is
@@ -160,7 +166,8 @@ std::vector<std::uint64_t> DrawPointsMulti(
 void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
                   const Fbo& point_fbo, const Fbo* boundary_fbo,
                   ResultArrays* result, gpu::Counters* counters,
-                  ThreadPool* pool = nullptr);
+                  ThreadPool* pool = nullptr,
+                  const PixelRect& scissor = PixelRect());
 
 /// Step 1 of the accurate variant (§4.3): renders all polygon outlines into
 /// `boundary_fbo` (channel 0 = 1 marks a boundary pixel). Conservative

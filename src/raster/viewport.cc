@@ -6,6 +6,31 @@
 
 namespace rj::raster {
 
+namespace {
+
+/// floor(v) clamped to [0, limit], in double before the cast. A NaN side
+/// (never produced by a finite world) widens to `if_nan`, so the clamp
+/// stays conservative.
+std::int32_t ClampPixel(double v, std::int32_t limit, std::int32_t if_nan) {
+  if (std::isnan(v)) return if_nan;
+  return static_cast<std::int32_t>(
+      std::clamp(std::floor(v), 0.0, static_cast<double>(limit)));
+}
+
+}  // namespace
+
+PixelRect Viewport::PixelCover(const BBox& box) const {
+  if (box.IsEmpty()) return {0, 0, 0, 0};
+  const Point lo = ToScreen({box.min_x, box.min_y});
+  const Point hi = ToScreen({box.max_x, box.max_y});
+  // Pixel floor(hi) is the last one a point of the box can land on, so the
+  // half-open bound is one past it (computed before the clamp: floor(hi)
+  // may already sit at the canvas edge).
+  return {ClampPixel(lo.x, width_, 0), ClampPixel(lo.y, height_, 0),
+          ClampPixel(hi.x + 1.0, width_, width_),
+          ClampPixel(hi.y + 1.0, height_, height_)};
+}
+
 Result<std::vector<CanvasTile>> PlanCanvas(const BBox& world, double epsilon,
                                            std::int32_t max_fbo_dim) {
   if (epsilon <= 0.0) {

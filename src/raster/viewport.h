@@ -8,8 +8,10 @@
 /// by the pipeline, so each point–polygon pair is counted exactly once.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -28,6 +30,21 @@ struct CanvasTile {
   /// Pixel index offset of this tile in the full virtual canvas.
   std::int64_t pixel_x0 = 0;
   std::int64_t pixel_y0 = 0;
+};
+
+/// A half-open rectangle of pixels, [x0, x1) × [y0, y1): the scissor of a
+/// draw call. The default rectangle covers every pixel of any canvas.
+struct PixelRect {
+  std::int32_t x0 = 0;
+  std::int32_t y0 = 0;
+  std::int32_t x1 = std::numeric_limits<std::int32_t>::max();
+  std::int32_t y1 = std::numeric_limits<std::int32_t>::max();
+
+  bool empty() const { return x0 >= x1 || y0 >= y1; }
+  PixelRect Intersect(const PixelRect& o) const {
+    return {std::max(x0, o.x0), std::max(y0, o.y0), std::min(x1, o.x1),
+            std::min(y1, o.y1)};
+  }
 };
 
 /// A world→pixel transform for one tile.
@@ -64,6 +81,12 @@ class Viewport {
   /// World-space side lengths of one pixel.
   double PixelWidth() const { return 1.0 / scale_x_; }
   double PixelHeight() const { return 1.0 / scale_y_; }
+
+  /// The pixels PixelOf can return for the points of `box` (closed):
+  /// ToScreen and floor are both monotone, so each such point's pixel lies
+  /// between the pixels of the box's corners. Clipped to the viewport;
+  /// empty for an empty box. Infinite box sides clamp to the canvas edge.
+  PixelRect PixelCover(const BBox& box) const;
 
   /// The pixel containing world point p (floor of screen coords), or
   /// (-1,-1) when p is outside the viewport.

@@ -209,6 +209,36 @@ TEST(ShardedTableTest, ShardZonesCoverExactlyTheirRows) {
   }
 }
 
+/// Every shard's extent is cached at partition time (a per-query block
+/// source over the shard then reads it in O(1)) and equals both its zone
+/// map's bbox and a fresh scan of its rows — empty shards included.
+TEST(ShardedTableTest, ShardExtentsAreCachedAndEqualTheirZones) {
+  for (const std::size_t n : {std::size_t{300}, std::size_t{2}}) {
+    const PointTable base = MakeTable(n, 14);
+    for (const ShardPolicy policy :
+         {ShardPolicy::kRoundRobin, ShardPolicy::kHilbert}) {
+      ShardingOptions options;
+      options.num_shards = 4;
+      options.policy = policy;
+      auto sharded = ShardedTable::Partition(base, options);
+      ASSERT_TRUE(sharded.ok());
+      for (std::size_t s = 0; s < 4; ++s) {
+        const PointTable& shard = sharded.value().shard(s);
+        BBox scanned;
+        for (std::size_t i = 0; i < shard.size(); ++i) {
+          scanned.Expand(shard.At(i));
+        }
+        EXPECT_TRUE(shard.extent_cached()) << "shard " << s;
+        EXPECT_TRUE(shard.Extent() == scanned) << "shard " << s;
+        EXPECT_TRUE(shard.Extent() == sharded.value().shard_zone(s).bbox)
+            << "shard " << s;
+        const TableBlockSource source(&shard, std::max<std::size_t>(n, 1));
+        EXPECT_TRUE(source.extent() == scanned) << "shard " << s;
+      }
+    }
+  }
+}
+
 TEST(ShardedTableTest, EmptyShardsCarryEmptyZones) {
   const PointTable base = MakeTable(2, 13);
   ShardingOptions options;

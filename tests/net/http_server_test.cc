@@ -230,6 +230,22 @@ TEST(HttpServerTest, ErrorMappingFollowsTheStatusContract) {
   EXPECT_EQ(invalid.value().status, 400);
   EXPECT_NE(invalid.value().body.find("does not exist"), std::string::npos)
       << invalid.value().body;
+
+  // An accurate canvas past the device's max_fbo_dim (1024) → 400, before
+  // any dim² canvas or mask is allocated.
+  QuerySpec huge = QuerySpecBuilder()
+                       .Dataset("taxi")
+                       .Count()
+                       .Variant(JoinVariant::kAccurateRaster)
+                       .CanvasDim(1 << 20)
+                       .Build()
+                       .value();
+  Result<HttpClientResponse> too_big =
+      client.Post("/v1/query", PostBody(huge));
+  ASSERT_TRUE(too_big.ok());
+  EXPECT_EQ(too_big.value().status, 400);
+  EXPECT_NE(too_big.value().body.find("max_fbo_dim"), std::string::npos)
+      << too_big.value().body;
 }
 
 TEST(HttpServerTest, PerClientRateLimiting) {

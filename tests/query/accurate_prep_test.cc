@@ -249,7 +249,7 @@ TEST(AccuratePrepTest, ConcurrentFirstQueriesShareOneMask) {
   std::atomic<int> arrived{0};
   std::vector<Status> statuses(kThreads);
   std::vector<QueryResult> results(kThreads);
-  std::vector<const raster::Fbo*> masks(kThreads, nullptr);
+  std::vector<std::shared_ptr<const raster::Fbo>> masks(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -274,6 +274,97 @@ TEST(AccuratePrepTest, ConcurrentFirstQueriesShareOneMask) {
   ASSERT_NE(masks[0], nullptr);
   EXPECT_EQ(masks[0]->data(),
             BuildBoundaryMask(s.polys, executor.world(), 512, nullptr).data());
+}
+
+/// An accurate canvas wider than the device's max_fbo_dim is rejected with
+/// InvalidArgument before anything is allocated — by the executor (solo and
+/// fused) and by the table form — and no mask is cached for it.
+TEST(AccuratePrepTest, CanvasAboveMaxFboDimIsRejected) {
+  const JoinSetup s = MakeSetup(6, 2000, 44);
+  gpu::Device device(DevOptions(1));
+  Executor executor(&device, &s.points, &s.polys);
+
+  const std::vector<SpatialAggQuery> too_big = Members(kFboDim * 2);
+  auto solo = executor.ExecuteUncached(too_big[1]);
+  ASSERT_FALSE(solo.ok());
+  EXPECT_EQ(solo.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(solo.status().message().find("max_fbo_dim"), std::string::npos)
+      << solo.status().ToString();
+  auto fused = executor.ExecuteFused(too_big);
+  ASSERT_FALSE(fused.ok());
+  EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument);
+  auto mask = executor.GetBoundaryMask(kFboDim + 1);
+  ASSERT_FALSE(mask.ok());
+  EXPECT_EQ(mask.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(executor.boundary_mask_cache_bytes(), 0u);
+
+  auto soup = TriangulatePolygonSet(s.polys);
+  ASSERT_TRUE(soup.ok());
+  AccurateRasterJoinOptions options;
+  options.canvas_dim = kFboDim + 1;
+  auto table_form = AccurateRasterJoin(&device, s.points, s.polys,
+                                       soup.value(), executor.world(),
+                                       options);
+  ASSERT_FALSE(table_form.ok());
+  EXPECT_EQ(table_form.status().code(), StatusCode::kInvalidArgument);
+
+  // The largest legal canvas still runs.
+  EXPECT_TRUE(executor.ExecuteUncached(Members(kFboDim)[0]).ok());
+}
+
+/// A client cycling through canvas dims cannot grow the mask cache past
+/// its byte budget: least recently used masks are evicted, the newest is
+/// always kept, a recently used mask survives, a reference held across an
+/// eviction stays valid, and queries after evictions still equal the
+/// table form.
+TEST(AccuratePrepTest, MaskCacheStaysBoundedWhileDimsCycle) {
+  const JoinSetup s = MakeSetup(6, 3000, 45);
+  gpu::Device device(DevOptions(2));
+  Executor executor(&device, &s.points, &s.polys);
+  const auto mask_bytes = [](std::int32_t dim) {
+    return static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim) *
+           raster::kChannels * sizeof(float);
+  };
+
+  auto held = executor.GetBoundaryMask(512);
+  ASSERT_TRUE(held.ok());
+  const std::shared_ptr<const raster::Fbo>& first = held.value();
+
+  std::size_t built = mask_bytes(512);
+  for (int round = 0; round < 2; ++round) {
+    for (std::int32_t dim = 640; dim <= 1024; dim += 32) {
+      SCOPED_TRACE("dim=" + std::to_string(dim));
+      auto mask = executor.GetBoundaryMask(dim);
+      ASSERT_TRUE(mask.ok()) << mask.status().ToString();
+      ASSERT_EQ(mask.value()->width(), dim);
+      built += mask_bytes(dim);
+      EXPECT_LE(executor.boundary_mask_cache_bytes(),
+                Executor::kBoundaryMaskCacheBytes);
+      EXPECT_GE(executor.boundary_mask_cache_bytes(), mask_bytes(dim));
+      // The most recent mask is a hit.
+      auto again = executor.GetBoundaryMask(dim);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again.value(), mask.value());
+    }
+  }
+  // The cycle built far more than the budget, so 512 was evicted; the
+  // caller's reference is still the mask it was.
+  ASSERT_GT(built, 2 * Executor::kBoundaryMaskCacheBytes);
+  EXPECT_EQ(first->data(),
+            BuildBoundaryMask(s.polys, executor.world(), 512, nullptr).data());
+  auto rebuilt = executor.GetBoundaryMask(512);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_NE(rebuilt.value(), first);
+  EXPECT_EQ(rebuilt.value()->data(), first->data());
+
+  for (const SpatialAggQuery& query : {Members(512)[1], Members(1024)[2]}) {
+    auto r = executor.ExecuteUncached(query);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectBitwiseEqual(r.value(), TableFormOracle({&s.points}, s.polys,
+                                                  executor.world(), 2, query));
+  }
+  EXPECT_LE(executor.boundary_mask_cache_bytes(),
+            Executor::kBoundaryMaskCacheBytes);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geometry/pip.h"
@@ -206,6 +211,196 @@ TEST(RasterizerCoverageTest, TriangulationCoversPolygonInteriorExactly) {
           << "center (" << center.x << "," << center.y << ")";
     }
   }
+}
+
+// --- Span walk vs. brute force ---------------------------------------------
+
+using PixelList = std::vector<std::pair<std::int32_t, std::int32_t>>;
+
+/// The coverage rule evaluated on every pixel of the canvas, in emission
+/// order: a pixel is covered when its center lies strictly inside the
+/// triangle's bounding box and passes the three edge-function tests with
+/// the top-left tie rule — the definition RasterizeTriangle's span walk
+/// must reproduce, pixel for pixel and in the same order.
+PixelList BruteForce(Point a, Point b, Point c, std::int32_t w,
+                     std::int32_t h) {
+  const double area2 = Orient2D(a, b, c);
+  if (area2 == 0.0) return {};
+  if (area2 < 0.0) std::swap(b, c);
+  const auto edge = [](const Point& p, const Point& q, double sx,
+                       double sy) {
+    return (q.x - p.x) * (sy - p.y) - (q.y - p.y) * (sx - p.x);
+  };
+  const auto top_left = [](const Point& p, const Point& q) {
+    return q.y - p.y > 0.0 || (q.y - p.y == 0.0 && q.x - p.x < 0.0);
+  };
+  const auto owns = [&](const Point& p, const Point& q, double sx,
+                        double sy) {
+    const double e = edge(p, q, sx, sy);
+    return e > 0.0 || (e == 0.0 && top_left(p, q));
+  };
+  const double min_x = std::min({a.x, b.x, c.x});
+  const double max_x = std::max({a.x, b.x, c.x});
+  const double min_y = std::min({a.y, b.y, c.y});
+  const double max_y = std::max({a.y, b.y, c.y});
+  PixelList out;
+  for (std::int32_t y = 0; y < h; ++y) {
+    const double sy = y + 0.5;
+    if (!(sy > min_y && sy < max_y)) continue;
+    for (std::int32_t x = 0; x < w; ++x) {
+      const double sx = x + 0.5;
+      if (!(sx > min_x && sx < max_x)) continue;
+      if (owns(a, b, sx, sy) && owns(b, c, sx, sy) && owns(c, a, sx, sy)) {
+        out.emplace_back(x, y);
+      }
+    }
+  }
+  return out;
+}
+
+PixelList Scan(const Point& a, const Point& b, const Point& c,
+               const PixelRect& clip) {
+  PixelList out;
+  RasterizeTriangle(a, b, c, clip, [&out](std::int32_t x, std::int32_t y) {
+    out.emplace_back(x, y);
+  });
+  return out;
+}
+
+/// Triangle families the span walk's rounding margin must survive.
+struct Family {
+  const char* name;
+  std::function<std::array<Point, 3>(Rng&)> make;
+};
+
+constexpr std::int32_t kCanvas = 64;
+
+std::vector<Family> Families() {
+  const auto any = [](Rng& rng, double lo, double hi) {
+    return Point{rng.Uniform(lo, hi), rng.Uniform(lo, hi)};
+  };
+  // A pixel center: integer + 0.5, so edges run through centers and the
+  // top-left rule decides.
+  const auto center = [](Rng& rng, std::int32_t lo, std::int32_t hi) {
+    return Point{lo + static_cast<double>(rng.UniformInt(hi - lo)) + 0.5,
+                 lo + static_cast<double>(rng.UniformInt(hi - lo)) + 0.5};
+  };
+  return {
+      {"random", [=](Rng& rng) -> std::array<Point, 3> {
+         return {any(rng, -8, 72), any(rng, -8, 72), any(rng, -8, 72)};
+       }},
+      {"sliver", [=](Rng& rng) -> std::array<Point, 3> {
+         const Point a = any(rng, 0, 64);
+         const Point b = any(rng, 0, 64);
+         const double t = rng.Uniform();
+         const double off = std::pow(10.0, -rng.Uniform(0, 9));
+         return {a, b,
+                 {a.x + t * (b.x - a.x) - off * (b.y - a.y),
+                  a.y + t * (b.y - a.y) + off * (b.x - a.x)}};
+       }},
+      {"pixel centers", [=](Rng& rng) -> std::array<Point, 3> {
+         return {center(rng, 0, 64), center(rng, 0, 64), center(rng, 0, 64)};
+       }},
+      {"axis-aligned", [=](Rng& rng) -> std::array<Point, 3> {
+         const Point a = center(rng, 0, 64);
+         const Point b = center(rng, 0, 64);
+         return {a, {b.x, a.y}, {a.x, b.y}};
+       }},
+      {"partly off canvas", [=](Rng& rng) -> std::array<Point, 3> {
+         return {any(rng, -64, 128), any(rng, -64, 128), any(rng, -64, 128)};
+       }},
+      {"large coordinates", [=](Rng& rng) -> std::array<Point, 3> {
+         // One vertex near the canvas, two far out: long edges whose
+         // intercepts carry the rounding of huge operands.
+         const double far = std::pow(10.0, rng.Uniform(4, 15));
+         return {any(rng, 0, 64),
+                 {rng.Uniform(-far, far), rng.Uniform(-far, far)},
+                 {rng.Uniform(-far, far), rng.Uniform(-far, far)}};
+       }},
+  };
+}
+
+TEST(RasterizerSpanTest, SpanWalkMatchesBruteForce) {
+  for (const Family& family : Families()) {
+    SCOPED_TRACE(family.name);
+    Rng rng(91);
+    std::size_t covered = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+      const std::array<Point, 3> t = family.make(rng);
+      const PixelList expected = BruteForce(t[0], t[1], t[2], kCanvas, kCanvas);
+      covered += expected.size();
+      ASSERT_EQ(Scan(t[0], t[1], t[2], PixelRect{0, 0, kCanvas, kCanvas}),
+                expected)
+          << "trial " << trial << ": (" << t[0].x << "," << t[0].y << ") ("
+          << t[1].x << "," << t[1].y << ") (" << t[2].x << "," << t[2].y
+          << ")";
+    }
+    EXPECT_GT(covered, 0u);
+  }
+}
+
+TEST(RasterizerSpanTest, SharedEdgesPartitionLikeBruteForce) {
+  // Quads on pixel centers split along a diagonal: the tie pixels on the
+  // shared edge go to exactly one side, the same side as brute force.
+  Rng rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::array<Point, 4> q;
+    for (Point& p : q) {
+      p = {static_cast<double>(rng.UniformInt(kCanvas)) + 0.5,
+           static_cast<double>(rng.UniformInt(kCanvas)) + 0.5};
+    }
+    const PixelRect canvas{0, 0, kCanvas, kCanvas};
+    const PixelList t1 = Scan(q[0], q[1], q[2], canvas);
+    const PixelList t2 = Scan(q[0], q[2], q[3], canvas);
+    ASSERT_EQ(t1, BruteForce(q[0], q[1], q[2], kCanvas, kCanvas));
+    ASSERT_EQ(t2, BruteForce(q[0], q[2], q[3], kCanvas, kCanvas));
+    if (Orient2D(q[0], q[1], q[2]) * Orient2D(q[0], q[2], q[3]) > 0.0) {
+      // Both halves on opposite sides of the diagonal: never both.
+      const PixelSet first(t1.begin(), t1.end());
+      for (const auto& p : t2) EXPECT_EQ(first.count(p), 0u);
+    }
+  }
+}
+
+TEST(RasterizerSpanTest, ScissoredScanIsTheFullScanInsideTheRect) {
+  for (const Family& family : Families()) {
+    SCOPED_TRACE(family.name);
+    Rng rng(7);
+    for (int trial = 0; trial < 1500; ++trial) {
+      const std::array<Point, 3> t = family.make(rng);
+      std::int32_t x0 = static_cast<std::int32_t>(rng.UniformInt(kCanvas));
+      std::int32_t x1 = static_cast<std::int32_t>(rng.UniformInt(kCanvas + 1));
+      std::int32_t y0 = static_cast<std::int32_t>(rng.UniformInt(kCanvas));
+      std::int32_t y1 = static_cast<std::int32_t>(rng.UniformInt(kCanvas + 1));
+      if (x0 > x1) std::swap(x0, x1);
+      if (y0 > y1) std::swap(y0, y1);
+      const PixelRect rect{x0, y0, x1, y1};
+      PixelList expected;
+      for (const auto& p :
+           Scan(t[0], t[1], t[2], PixelRect{0, 0, kCanvas, kCanvas})) {
+        if (p.first >= x0 && p.first < x1 && p.second >= y0 &&
+            p.second < y1) {
+          expected.push_back(p);
+        }
+      }
+      ASSERT_EQ(Scan(t[0], t[1], t[2], rect), expected) << "trial " << trial;
+    }
+  }
+}
+
+TEST(RasterizerSpanTest, DefaultRectIsUnboundedAndCanvasFormClips) {
+  // The default PixelRect clips nothing but the triangle itself; the
+  // width×height form equals the {0, 0, width, height} rect.
+  const Point a{-3.2, 1.7}, b{40.6, 5.1}, c{9.9, 37.3};
+  EXPECT_EQ(Scan(a, b, c, PixelRect()),
+            Scan(a, b, c, PixelRect{0, 0, 64, 64}));
+  PixelList canvas_form;
+  RasterizeTriangle(a, b, c, 16, 16,
+                    [&canvas_form](std::int32_t x, std::int32_t y) {
+                      canvas_form.emplace_back(x, y);
+                    });
+  EXPECT_EQ(canvas_form, Scan(a, b, c, PixelRect{0, 0, 16, 16}));
+  EXPECT_TRUE(Scan(a, b, c, PixelRect{5, 5, 5, 9}).empty());
 }
 
 }  // namespace

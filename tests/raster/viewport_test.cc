@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+
+#include "common/rng.h"
 
 namespace rj::raster {
 namespace {
@@ -108,6 +112,41 @@ TEST(SingleCanvasTest, FixedResolution) {
   EXPECT_EQ(t.width, 800);
   EXPECT_EQ(t.height, 600);
   EXPECT_EQ(t.world, BBox(0, 0, 10, 10));
+}
+
+TEST(ViewportTest, PixelCoverHoldsThePixelOfEveryPointInTheBox) {
+  // A canvas whose pixel edges fall on inexact world coordinates, and
+  // boxes whose corners sit on, inside and outside it: every point of a
+  // box that PixelOf places lands inside the box's cover.
+  const Viewport vp(BBox(-3.7, 11.1, 1000.3, 777.7), 97, 61);
+  Rng rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    double x0 = rng.Uniform(-100, 1100), x1 = rng.Uniform(-100, 1100);
+    double y0 = rng.Uniform(-100, 900), y1 = rng.Uniform(-100, 900);
+    if (x0 > x1) std::swap(x0, x1);
+    if (y0 > y1) std::swap(y0, y1);
+    const BBox box(x0, y0, x1, y1);
+    const PixelRect cover = vp.PixelCover(box);
+    for (int k = 0; k < 20; ++k) {
+      // Corners included: they are the extreme points the cover is built
+      // from.
+      const Point p{k == 0 ? x0 : k == 1 ? x1 : rng.Uniform(x0, x1),
+                    k == 0 ? y0 : k == 1 ? y1 : rng.Uniform(y0, y1)};
+      const auto [px, py] = vp.PixelOf(p);
+      if (px < 0) continue;  // clipped: reaches no pixel
+      EXPECT_TRUE(px >= cover.x0 && px < cover.x1 && py >= cover.y0 &&
+                  py < cover.y1)
+          << "trial " << trial << " point (" << p.x << "," << p.y << ")";
+    }
+  }
+  EXPECT_TRUE(vp.PixelCover(BBox()).empty());
+  EXPECT_TRUE(vp.PixelCover(BBox(2000, 0, 3000, 10)).empty());
+  const double inf = std::numeric_limits<double>::infinity();
+  const PixelRect all = vp.PixelCover(BBox(-inf, -inf, inf, inf));
+  EXPECT_EQ(all.x0, 0);
+  EXPECT_EQ(all.y0, 0);
+  EXPECT_EQ(all.x1, 97);
+  EXPECT_EQ(all.y1, 61);
 }
 
 }  // namespace
