@@ -2,15 +2,18 @@
 /// \brief Reproduces Figure 13: Twitter ⋈ County when the point data does
 /// not fit in host memory and must be streamed from disk. The disk tier is
 /// the v2 block file (data/block_file.h): Hilbert-clustered fixed-capacity
-/// blocks read through mmap by the three-stage disk→host→device pipeline.
+/// blocks read as zero-copy views of the mmap by the two-stage upload
+/// pipeline.
 /// Left pane: total query time (includes disk access). Right pane:
 /// processing time excluding memory access. Paper result: GPU approaches
 /// keep >10× speedup despite disk I/O, and processing-only times match
 /// the in-memory experiments.
 ///
 /// Two extra axes beyond the paper's figure:
-///  * cold-scan throughput — MB/s of block reads per variant (bytes_read /
-///    the phase::kDiskRead wall time);
+///  * block-read throughput — MB/s of block reads per variant (bytes_read /
+///    the phase::kDiskRead wall time). The scan reads views, so that phase
+///    times the view lookups; page faults are paid by the VBO pack, under
+///    phase::kTransfer;
 ///  * pruning selectivity — a sweep of canvas sub-regions over the same
 ///    file, reporting the fraction of blocks the zone maps prune and the
 ///    disk bytes saved, pruning on vs off.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <vector>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -53,35 +54,95 @@ void BM_TriangleRasterization(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleRasterization)->Arg(64)->Arg(512)->Arg(2048);
 
-/// The point pass (Step I) on a 2048² canvas. Args: points; workers (1 =
-/// the sequential path, 4 = the tiled-parallel vertex and fragment
-/// stages); weighted (1 = SUM of fare over the rides with fare > 10, which
-/// blends all four channels under a filter; 0 = unfiltered COUNT).
+/// 400k rides in Hilbert order (one Hilbert shard), the row order of the
+/// served block files, as one table and as its 16384-row blocks.
+struct PointPassInputs {
+  PointTable table;
+  std::vector<PointTable> blocks;
+};
+
+const PointPassInputs* GetPointPassInputs() {
+  static const PointPassInputs* inputs = []() -> PointPassInputs* {
+    data::ShardingOptions sharding;
+    sharding.num_shards = 1;
+    sharding.policy = data::ShardPolicy::kHilbert;
+    auto shards =
+        data::ShardedTable::Partition(GenerateTaxiPoints(400'000), sharding);
+    if (!shards.ok()) return nullptr;
+    auto* in = new PointPassInputs{shards.value().shard(0), {}};
+    constexpr std::size_t kBlockRows = 16384;
+    for (std::size_t b = 0; b < in->table.size(); b += kBlockRows) {
+      in->blocks.push_back(in->table.Slice(
+          b, std::min(in->table.size(), b + kBlockRows)));
+    }
+    return in;
+  }();
+  return inputs;
+}
+
+/// The point pass (Step I) in the served shape: Hilbert-ordered rides over
+/// the NYC extent. Args: block (1 = one call per 16384-row block, as a
+/// block-file scan draws; 0 = one call over the whole 400k-row table);
+/// width (636×566 or 1432×1273, served canvas sizes); query (0 = COUNT,
+/// 1 = SUM of fare with fare > 10, 2 = COUNT under 3 conjuncts: fare > 5,
+/// tip >= 1, distance < 8); workers.
 void BM_DrawPoints(benchmark::State& state) {
-  const PointTable points =
-      GenerateTaxiPoints(static_cast<std::size_t>(state.range(0)));
-  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  const PointPassInputs* in = GetPointPassInputs();
+  if (in == nullptr) {
+    state.SkipWithError("input generation failed");
+    return;
+  }
+  const std::int32_t width = static_cast<std::int32_t>(state.range(1));
+  const std::int32_t height = width == 636 ? 566 : 1273;
   FilterSet filters;
   std::size_t weight_column = PointTable::npos;
-  if (state.range(2) != 0) {
-    if (!filters.Add({0, FilterOp::kGreater, 10.0f}).ok()) {
-      state.SkipWithError("filter rejected");
-      return;
-    }
-    weight_column = 0;  // fare
+  Status added = Status::OK();
+  switch (state.range(2)) {
+    case 1:
+      added = filters.Add({0, FilterOp::kGreater, 10.0f});
+      weight_column = 0;  // fare
+      break;
+    case 2:
+      added = filters.Add({0, FilterOp::kGreater, 5.0f});
+      if (added.ok()) added = filters.Add({1, FilterOp::kGreaterEqual, 1.0f});
+      if (added.ok()) added = filters.Add({2, FilterOp::kLess, 8.0f});
+      break;
+    default:
+      break;
   }
-  const raster::Viewport vp(NycExtentMeters(), 2048, 2048);
-  raster::Fbo fbo(2048, 2048);
+  if (!added.ok()) {
+    state.SkipWithError("filter rejected");
+    return;
+  }
+  ThreadPool pool(static_cast<std::size_t>(state.range(3)));
+  const raster::Viewport vp(NycExtentMeters(), width, height);
+  raster::Fbo fbo(width, height);
   for (auto _ : state) {
+    state.PauseTiming();  // the clear is not part of the point pass
     fbo.Clear();
-    benchmark::DoNotOptimize(raster::DrawPoints(
-        vp, points, filters, weight_column, &fbo, nullptr, &pool));
+    state.ResumeTiming();
+    if (state.range(0) != 0) {
+      for (const PointTable& block : in->blocks) {
+        benchmark::DoNotOptimize(raster::DrawPoints(
+            vp, block, filters, weight_column, &fbo, nullptr, &pool));
+      }
+    } else {
+      benchmark::DoNotOptimize(raster::DrawPoints(
+          vp, in->table, filters, weight_column, &fbo, nullptr, &pool));
+    }
+    benchmark::DoNotOptimize(fbo.data().data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["sec_per_point"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * in->table.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in->table.size()));
 }
 BENCHMARK(BM_DrawPoints)
-    ->ArgNames({"points", "workers", "weighted"})
-    ->ArgsProduct({{100'000, 500'000}, {1, 4}, {0, 1}})
+    ->ArgNames({"block", "width", "query", "workers"})
+    ->ArgsProduct({{1, 0}, {636, 1432}, {0, 1, 2}, {1, 2}})
+    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 /// Inputs of BM_DrawPolygons, built once: the NYC neighborhoods'

@@ -139,8 +139,8 @@ class BlockFileReader final : public PointBlockSource {
   std::uint64_t num_rows_ = 0;
   std::size_t capacity_ = 0;
   BBox extent_;
-  /// Atomic: the pipeline's reader thread and the query thread both pass
-  /// through here under concurrent queries.
+  /// Atomic: the transfer threads of concurrent queries' pipelines all
+  /// pass through here.
   mutable std::atomic<std::uint64_t> bytes_read_{0};
 };
 

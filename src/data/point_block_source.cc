@@ -24,21 +24,26 @@ BlockZoneMap ComputeZoneMap(const PointTable& table, std::size_t begin,
   return zone;
 }
 
+BlockView ViewRows(const PointTable& table, std::size_t begin,
+                   std::size_t end) {
+  BlockView view;
+  view.xs = table.xs().data() + begin;
+  view.ys = table.ys().data() + begin;
+  view.attrs.resize(table.num_attributes());
+  for (std::size_t c = 0; c < view.attrs.size(); ++c) {
+    view.attrs[c] = table.attribute(c).data() + begin;
+  }
+  view.size = end - begin;
+  return view;
+}
+
 Result<BlockView> PointBlockSource::ViewBlock(std::size_t block,
                                               PointTable* scratch) const {
   RJ_ASSIGN_OR_RETURN(BlockRef ref, ReadBlock(block, scratch));
   // Re-base the window to block-local indices by offsetting each column
   // pointer — zero-copy over whatever storage ReadBlock returned (the
   // parent table for in-memory adapters, `scratch` for disk readers).
-  BlockView view;
-  view.xs = ref.table->xs().data() + ref.begin;
-  view.ys = ref.table->ys().data() + ref.begin;
-  view.attrs.resize(ref.table->num_attributes());
-  for (std::size_t c = 0; c < view.attrs.size(); ++c) {
-    view.attrs[c] = ref.table->attribute(c).data() + ref.begin;
-  }
-  view.size = ref.size();
-  return view;
+  return ViewRows(*ref.table, ref.begin, ref.end);
 }
 
 Result<PointTable> MaterializeBlocks(const PointBlockSource& source) {
@@ -64,10 +69,15 @@ Result<PointTable> MaterializeBlocks(const PointBlockSource& source) {
 
 TableBlockSource::TableBlockSource(const PointTable* table,
                                    std::size_t block_capacity)
+    : TableBlockSource(table, block_capacity, table->Extent()) {}
+
+TableBlockSource::TableBlockSource(const PointTable* table,
+                                   std::size_t block_capacity,
+                                   const BBox& extent)
     : table_(table), capacity_(std::max<std::size_t>(block_capacity, 1)) {
   num_blocks_ =
       table_->empty() ? 0 : (table_->size() + capacity_ - 1) / capacity_;
-  extent_ = table_->Extent();
+  extent_ = extent;
 }
 
 TableBlockSource::TableBlockSource(PointTable table,

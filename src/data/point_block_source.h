@@ -8,10 +8,10 @@
 /// in-memory table or an mmap-backed disk file (block_file.h) — and skip
 /// blocks a query's canvas or filters can never touch.
 ///
-/// Thread-safety contract: a source is immutable once built. ReadBlock is
-/// const and safe to call from multiple threads concurrently **as long as
-/// each caller supplies its own scratch table** (the upload pipeline's
-/// reader thread and a concurrent query each bring their own).
+/// Thread-safety contract: a source is immutable once built. ReadBlock and
+/// ViewBlock are const and safe to call from multiple threads concurrently
+/// **as long as each caller supplies its own scratch table** (each upload
+/// pipeline slot and each concurrent query bring their own).
 #pragma once
 
 #include <algorithm>
@@ -72,6 +72,12 @@ struct BlockView {
   Point At(std::size_t i) const { return {xs[i], ys[i]}; }
   const float* attribute(std::size_t c) const { return attrs[c]; }
 };
+
+/// The zero-copy view of rows [begin, end) of `table`: row i of the view is
+/// row begin + i of the table. Valid while the table is neither mutated nor
+/// destroyed.
+BlockView ViewRows(const PointTable& table, std::size_t begin,
+                   std::size_t end);
 
 /// Schema + extent + an ordered stream of fixed-capacity column blocks.
 class PointBlockSource {
@@ -144,6 +150,12 @@ class TableBlockSource final : public PointBlockSource {
  public:
   /// Non-owning: `table` must outlive this source.
   TableBlockSource(const PointTable* table, std::size_t block_capacity);
+
+  /// Non-owning, with the table's extent supplied by the caller (it must
+  /// equal table->Extent()): a re-cut of a registered source's rows into
+  /// other block sizes costs O(1) instead of an extent scan.
+  TableBlockSource(const PointTable* table, std::size_t block_capacity,
+                   const BBox& extent);
 
   /// Owning: adopts `table` (the v1-file loading path, which has no parent
   /// table to point into).

@@ -26,18 +26,9 @@ BatchPipeline::BatchPipeline(gpu::Device* device,
   // A single batch has nothing to prefetch behind it; stay serialized and
   // keep the working set at one buffer (full_bytes in the admission plan).
   overlap_ = options.overlap_transfers && num_batches_ > 1;
-  // Disk-resident sources add the third stage: a reader thread
-  // materializes block b+2 while block b+1 uploads and block b draws. The
-  // extra slot never holds a device buffer while loading, so the resident
-  // VBO count stays ≤ 2 — the same working set the admission plan
-  // reserves for plain double buffering.
-  disk_staged_ = overlap_ && source_->disk_resident();
-  slots_.resize(disk_staged_ ? 3 : (overlap_ ? 2 : 1));
+  slots_.resize(overlap_ ? 2 : 1);
   if (overlap_) {
     thread_ = std::thread([this] { TransferLoop(); });
-  }
-  if (disk_staged_) {
-    reader_thread_ = std::thread([this] { ReaderLoop(); });
   }
 }
 
@@ -95,19 +86,17 @@ Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
       }
       if (ours_resident) {
         // Wait on the free *generation*, not on the neighbor slot reaching
-        // kFree: by the time this thread re-acquires the mutex the slot may
-        // already have moved on (the reader can claim it again), so a state
-        // predicate could miss the kFree window. The counter only moves
-        // forward, so the freed buffer is observed no matter how far the
-        // state has moved on.
+        // kFree: a state predicate could miss a kFree window the slot has
+        // already left again. The counter only moves forward, so the freed
+        // buffer is observed no matter how far the state has moved on.
         const std::uint64_t observed = frees_;
         while (!canceled_ && frees_ <= observed) cv_producer_.Wait(lock);
         if (canceled_) return vbo;
         transient_retries = 0;
         continue;
       }
-      // None of our buffers is resident — the neighbor slots are empty or
-      // still loading — so no consumer progress can return memory to us.
+      // None of our buffers is resident — the neighbor slot is empty — so
+      // no consumer progress can return memory to us.
       // The pressure is a concurrent query on a shared device: retry with
       // a bounded backoff so a transient neighbor allocation degrades
       // throughput instead of failing the
@@ -122,18 +111,31 @@ Result<std::shared_ptr<gpu::Buffer>> BatchPipeline::AllocateWithBackoff(
   }
 }
 
-Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
-                                 std::size_t begin, std::size_t end) {
+Status BatchPipeline::LoadSlot(Slot* slot, std::size_t ordinal) {
   Timer timer;
+  Result<data::BlockView> view =
+      source_->ViewBlock(blocks_[ordinal], &slot->scratch);
+  if (source_->disk_resident()) {
+    MutexLock lock(mutex_);
+    disk_seconds_ += timer.ElapsedSeconds();
+  }
+  if (!view.ok()) return view.status();
+  slot->rows = std::move(view).MoveValueUnsafe();
+  // Every block but the last is full, so block b starts at row b·capacity.
+  slot->begin = blocks_[ordinal] * source_->block_capacity();
+  slot->end = slot->begin + slot->rows.size;
+
+  timer.Restart();
   // Stride from the layout's single definition, so the packed/metered
   // bytes can never drift from what PlanUpload/PlanAdmission reserve.
+  const data::BlockView& rows = slot->rows;
   const std::size_t stride = UploadStrideBytes(columns_) / sizeof(float);
-  slot->staging.resize((end - begin) * stride);
+  slot->staging.resize(rows.size * stride);
   float* out = slot->staging.data();
-  for (std::size_t i = begin; i < end; ++i) {
-    *out++ = static_cast<float>(table.xs()[i]);
-    *out++ = static_cast<float>(table.ys()[i]);
-    for (const std::size_t c : columns_) *out++ = table.attribute(c)[i];
+  for (std::size_t i = 0; i < rows.size; ++i) {
+    *out++ = static_cast<float>(rows.xs[i]);
+    *out++ = static_cast<float>(rows.ys[i]);
+    for (const std::size_t c : columns_) *out++ = rows.attrs[c][i];
   }
 
   Status status = Status::OK();
@@ -160,26 +162,7 @@ Status BatchPipeline::UploadSlot(Slot* slot, const PointTable& table,
   return status;
 }
 
-Status BatchPipeline::ReadBlockInto(Slot* slot, std::size_t ordinal) {
-  Timer timer;
-  Result<data::BlockRef> ref =
-      source_->ReadBlock(blocks_[ordinal], &slot->table);
-  // Transfer time and disk time are separate phases: only disk-resident
-  // sources spend wall time here worth reporting (the in-memory adapter's
-  // ReadBlock is a pointer assignment).
-  if (source_->disk_resident()) {
-    MutexLock lock(mutex_);
-    disk_seconds_ += timer.ElapsedSeconds();
-  }
-  if (!ref.ok()) return ref.status();
-  const data::BlockRef block = std::move(ref).MoveValueUnsafe();
-  slot->rows = block.table;
-  slot->begin = block.begin;
-  slot->end = block.end;
-  return Status::OK();
-}
-
-void BatchPipeline::ReaderLoop() {
+void BatchPipeline::TransferLoop() {
   for (std::size_t pass = 0;; ++pass) {
     for (std::size_t b = 0; b < num_batches_; ++b) {
       Slot& slot = slots_[b % slots_.size()];
@@ -189,82 +172,17 @@ void BatchPipeline::ReaderLoop() {
           cv_producer_.Wait(lock);
         }
         if (canceled_) return;
-        slot.state = Slot::State::kLoading;
       }
-      const Status status = ReadBlockInto(&slot, b);
-      {
-        MutexLock lock(mutex_);
-        if (!status.ok()) {
-          error_ = status;
-          // Both downstream stages must observe the latch: the consumer
-          // waits on cv_consumer_, the transfer thread on cv_producer_.
-          cv_consumer_.NotifyAll();
-          cv_producer_.NotifyAll();
-          return;
-        }
-        slot.batch_index = b;
-        slot.state = Slot::State::kLoaded;
-        cv_producer_.NotifyAll();  // the transfer thread waits here too
-      }
-    }
-    // Pass complete. Park until the consumer rewinds for the next tile
-    // pass (or drains) — the thread and the slots' scratch tables stay
-    // warm across passes.
-    MutexLock lock(mutex_);
-    while (!canceled_ && rewinds_ <= pass) cv_producer_.Wait(lock);
-    if (canceled_) return;
-  }
-}
-
-void BatchPipeline::TransferLoop() {
-  for (std::size_t pass = 0;; ++pass) {
-    for (std::size_t b = 0; b < num_batches_; ++b) {
-      Slot& slot = slots_[b % slots_.size()];
-      if (disk_staged_) {
-        // Three-stage: wait for the reader thread to hand over the loaded
-        // block (mutex acquisition orders its rows/begin/end writes before
-        // the pack below), and for batch b-2 to be released — the third
-        // slot holds host rows only, so at most two VBOs are resident,
-        // the working set the admission plan reserves. Every release bumps
-        // frees_, and batches release in order.
-        const std::uint64_t batch = pass * num_batches_ + b;
-        MutexLock lock(mutex_);
-        while (!canceled_ && error_.ok() &&
-               !(slot.state == Slot::State::kLoaded &&
-                 slot.batch_index == b && frees_ + 1 >= batch)) {
-          cv_producer_.Wait(lock);
-        }
-        if (canceled_ || !error_.ok()) return;
-      } else {
-        {
-          MutexLock lock(mutex_);
-          while (!canceled_ && slot.state != Slot::State::kFree) {
-            cv_producer_.Wait(lock);
-          }
-          if (canceled_) return;
-        }
-        const Status status = ReadBlockInto(&slot, b);
-        if (!status.ok()) {
-          MutexLock lock(mutex_);
-          error_ = status;
-          cv_consumer_.NotifyAll();
-          return;
-        }
-      }
-      const Status status =
-          UploadSlot(&slot, *slot.rows, slot.begin, slot.end);
-      {
-        MutexLock lock(mutex_);
-        if (!status.ok()) {
-          error_ = status;
-          cv_consumer_.NotifyAll();
-          cv_producer_.NotifyAll();  // wake the disk reader too
-          return;
-        }
-        slot.batch_index = b;
-        slot.state = Slot::State::kReady;
+      const Status status = LoadSlot(&slot, b);
+      MutexLock lock(mutex_);
+      if (!status.ok()) {
+        error_ = status;
         cv_consumer_.NotifyAll();
+        return;
       }
+      slot.batch_index = b;
+      slot.state = Slot::State::kReady;
+      cv_consumer_.NotifyAll();
     }
     // Pass complete. Park until the consumer rewinds for the next tile
     // pass (or drains) — the thread and the slots' staging buffers stay
@@ -285,8 +203,7 @@ Result<std::optional<BatchPipeline::BatchView>> BatchPipeline::Acquire() {
   Slot& slot = slots_[next_acquire_ % slots_.size()];
   if (!overlap_) {
     assert(slot.state == Slot::State::kFree && "Release the previous batch");
-    RJ_RETURN_NOT_OK(ReadBlockInto(&slot, next_acquire_));
-    RJ_RETURN_NOT_OK(UploadSlot(&slot, *slot.rows, slot.begin, slot.end));
+    RJ_RETURN_NOT_OK(LoadSlot(&slot, next_acquire_));
     slot.batch_index = next_acquire_;
     slot.state = Slot::State::kReady;
     view_outstanding_ = true;
@@ -349,7 +266,6 @@ Status BatchPipeline::Drain(PhaseTimer* timing) {
     cv_producer_.NotifyAll();
   }
   if (thread_.joinable()) thread_.join();
-  if (reader_thread_.joinable()) reader_thread_.join();
   // Free whatever is still resident: a prefetched-but-unconsumed batch, or
   // the buffer of a batch the consumer abandoned mid-draw.
   for (Slot& slot : slots_) {
@@ -357,8 +273,8 @@ Status BatchPipeline::Drain(PhaseTimer* timing) {
       device_->Free(slot.vbo);
       slot.vbo.reset();
     }
-    slot.table = PointTable();
-    slot.rows = nullptr;
+    slot.scratch = PointTable();
+    slot.rows = data::BlockView();
     slot.state = Slot::State::kFree;
   }
   MutexLock lock(mutex_);

@@ -25,16 +25,20 @@
 /// The pipeline streams the selected blocks of a data::PointBlockSource —
 /// one device batch per block — and the consumer loops Acquire()/Release()
 /// until Acquire returns nullopt, then calls Rewind() to re-stream every
-/// block for the next tile pass (the threads and staging buffers survive
-/// across passes) or Drain() when done. The PointTable convenience ctor
-/// wraps the table in an in-memory adapter (data::TableBlockSource) whose
-/// blocks are fixed-size slices. When the source is disk-resident and
-/// transfers overlap, the scan runs three-staged: a reader thread
-/// materializes block b+2 from disk (metered under phase::kDiskRead) while
-/// the transfer thread packs and uploads block b+1 and the consumer draws
-/// block b. Three slots cover the three stages, but a loading slot holds no
-/// device buffer yet, so at most two VBOs are ever resident — the same 2×
-/// stride the admission plan reserves for plain double buffering.
+/// block for the next tile pass (the thread and the staging buffers
+/// survive across passes) or Drain() when done. The PointTable convenience
+/// ctor wraps the table in an in-memory adapter (data::TableBlockSource)
+/// whose blocks are fixed-size slices.
+///
+/// Two stages, views not copies. Every batch is the zero-copy
+/// data::BlockView PointBlockSource::ViewBlock returns — a window of the
+/// parent table for in-memory sources, column pointers into the mapping
+/// for a block file — so no stage copies a block's rows. The transfer
+/// thread's VBO pack is the first touch of each block (for a block file,
+/// that is where its pages fault in, timed as transfer, not disk read),
+/// one block ahead of the consumer's draw. Two slots cover the two stages,
+/// so at most two VBOs are resident: the 2× stride the admission plan
+/// reserves.
 ///
 /// Error handling: the first failure (device allocation, upload) is
 /// latched; batches that already made it to the device are still handed
@@ -81,25 +85,24 @@ struct BatchPipelineOptions {
 
 class BatchPipeline {
  public:
-  /// One uploaded batch, resident on the device until Release()d. The
-  /// batch's rows are rows [begin, end) of `*rows`: for in-memory table
-  /// scans `rows` is the scanned table itself (begin/end are global row
-  /// indices, exactly the pre-block contract); for disk sources `rows` is
-  /// a pipeline-owned scratch holding just this block. Valid until
-  /// Release().
+  /// One uploaded batch, resident on the device until Release()d. Its
+  /// rows are rows [begin, end) of the source's row order, and `rows` is
+  /// the zero-copy view of exactly those rows (row i of the view is source
+  /// row begin + i): into the parent table for an in-memory source, into
+  /// the mapping for a block file. The view outlives Release() as long as
+  /// the source does; the device buffer does not.
   struct BatchView {
     std::size_t index = 0;  ///< batch ordinal (ascending)
     std::size_t begin = 0;  ///< first point row
     std::size_t end = 0;    ///< one past the last point row
-    const PointTable* rows = nullptr;  ///< table the rows live in
+    data::BlockView rows;   ///< the batch's columns
   };
 
   /// Streams blocks `blocks` (ordinals into `source`, ascending — the
   /// zone-map-selected scan list) as one device batch each. Neither is
   /// copied; `source` must outlive the pipeline.
   /// Starts the transfer thread when overlap is enabled and there is more
-  /// than one batch, plus the disk reader thread for disk-resident
-  /// sources.
+  /// than one batch.
   BatchPipeline(gpu::Device* device, const data::PointBlockSource* source,
                 std::vector<std::size_t> blocks,
                 std::vector<std::size_t> columns,
@@ -154,18 +157,17 @@ class BatchPipeline {
     /// transient-allocation fix FboPool applies to canvases).
     std::vector<float> staging;
     std::shared_ptr<gpu::Buffer> vbo;
-    /// Disk sources: the scratch the block is materialized into (persists
-    /// across passes, like `staging`).
-    PointTable table;
-    const PointTable* rows = nullptr;  ///< table the rows live in
+    /// Scratch for a source whose ViewBlock copies (the base
+    /// implementation over a copying ReadBlock); the in-memory adapter and
+    /// the block-file reader never touch it.
+    PointTable scratch;
+    data::BlockView rows;
     std::size_t batch_index = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
     enum class State {
-      kFree,     ///< available to the reader / prefetcher
-      kLoading,  ///< disk: reader thread materializing the block
-      kLoaded,   ///< disk: rows resident in host RAM, upload pending
-      kReady,    ///< upload complete, awaiting the consumer
+      kFree,   ///< available to the prefetcher
+      kReady,  ///< upload complete, awaiting the consumer
     } state = State::kFree;
   };
 
@@ -178,23 +180,14 @@ class BatchPipeline {
                                                            std::size_t bytes)
       RJ_EXCLUDES(mutex_);
 
-  /// Packs rows [begin, end) of `table` and uploads them, accumulating the
-  /// elapsed wall time into transfer_seconds_. Runs on the transfer thread
+  /// Views block ordinal `ordinal` of the scan list into `slot` (setting
+  /// rows/begin/end), packs the view into the slot's staging buffer and
+  /// uploads it. The view lookup is timed as disk read for disk-resident
+  /// sources, the pack and upload as transfer. Runs on the transfer thread
   /// (overlap) or the caller (serialized).
-  Status UploadSlot(Slot* slot, const PointTable& table, std::size_t begin,
-                    std::size_t end) RJ_EXCLUDES(mutex_);
-
-  /// Materializes block ordinal `ordinal` of the scan list into `slot`
-  /// (setting rows/begin/end), accumulating disk wall time for
-  /// disk-resident sources. Runs on the reader thread (three-stage), the
-  /// transfer thread (two-stage), or the caller (serialized).
-  Status ReadBlockInto(Slot* slot, std::size_t ordinal) RJ_EXCLUDES(mutex_);
+  Status LoadSlot(Slot* slot, std::size_t ordinal) RJ_EXCLUDES(mutex_);
 
   void TransferLoop() RJ_EXCLUDES(mutex_);
-
-  /// Disk stage of the three-stage pipeline: materializes blocks from the
-  /// source into free slots ahead of the transfer thread.
-  void ReaderLoop() RJ_EXCLUDES(mutex_);
 
   gpu::Device* device_;
   const data::PointBlockSource* source_ = nullptr;
@@ -205,10 +198,9 @@ class BatchPipeline {
   std::vector<std::size_t> columns_;
   std::size_t num_batches_ = 0;
   bool overlap_ = false;
-  bool disk_staged_ = false;  ///< three-stage: dedicated disk reader thread
 
-  /// 3 disk-staged, 2 with overlap, 1 serialized. NOT guarded by mutex_ —
-  /// slot *payloads* (staging/vbo/table/rows/begin/end) move between
+  /// 2 with overlap, 1 serialized. NOT guarded by mutex_ —
+  /// slot *payloads* (staging/vbo/scratch/rows/begin/end) move between
   /// threads by ownership handoff: exactly one stage owns a slot at a time,
   /// determined by its `state`, and every state transition happens under
   /// mutex_ (overlap mode), so the mutex acquisition orders the previous
@@ -234,11 +226,10 @@ class BatchPipeline {
   CondVar cv_consumer_;  ///< consumer: upload finished/error
   Status error_ RJ_GUARDED_BY(mutex_) = Status::OK();
   double transfer_seconds_ RJ_GUARDED_BY(mutex_) = 0.0;
-  /// Accumulated block read wall time.
+  /// Accumulated block view wall time (disk-resident sources).
   double disk_seconds_ RJ_GUARDED_BY(mutex_) = 0.0;
 
   std::thread thread_;
-  std::thread reader_thread_;  ///< disk-staged only
 };
 
 }  // namespace rj::join

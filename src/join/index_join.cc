@@ -95,9 +95,7 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device,
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         pipeline.Acquire());
     if (!view.has_value()) break;
-    const PointTable& rows = *view->rows;
-    const std::size_t begin = view->begin;
-    const std::size_t end = view->end;
+    const data::BlockView& rows = view->rows;
     {
       // PIP compute stage: split across the device's workers (the SIMT
       // analogue), each accumulating into a private result array. Guard on
@@ -107,19 +105,19 @@ Result<JoinResult> IndexJoinDevice(gpu::Device* device,
       // double-meter them).
       ScopedPhase sp(&result.timing, phase::kProcessing);
       ThreadPool& pool = device->pool();
-      const std::size_t num_chunks = pool.NumChunks(end - begin);
+      const std::size_t num_chunks = pool.NumChunks(rows.size);
       if (num_chunks <= 1) {
-        JoinPointRange(rows, polys, *index, options, begin, end,
+        JoinPointRange(rows, polys, *index, options, 0, rows.size,
                        &result.arrays);
       } else {
         std::vector<raster::ResultArrays> partials(
             num_chunks, raster::ResultArrays(polys.size()));
         std::vector<std::uint64_t> pips_per_chunk(num_chunks, 0);
-        pool.ParallelFor(end - begin, [&](std::size_t lo, std::size_t hi,
-                                          std::size_t worker) {
+        pool.ParallelFor(rows.size, [&](std::size_t lo, std::size_t hi,
+                                        std::size_t worker) {
           const std::size_t chunk_pips_before = GetThreadPipTestCount();
-          JoinPointRange(rows, polys, *index, options, begin + lo,
-                         begin + hi, &partials[worker]);
+          JoinPointRange(rows, polys, *index, options, lo, hi,
+                         &partials[worker]);
           pips_per_chunk[worker] += GetThreadPipTestCount() -
                                     chunk_pips_before;
         });

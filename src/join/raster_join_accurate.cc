@@ -1,7 +1,6 @@
 #include "join/raster_join_accurate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -102,114 +101,97 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
 
   // --- Step 2: one shared scan (Procedure AccuratePoints). ---------------
   // Batch b+1's host→device transfer runs on the pipeline's prefetch
-  // thread while this loop processes batch b (plus, for disk sources, the
-  // reader thread materializing batch b+2).
+  // thread while this loop processes batch b.
   join::BatchPipeline upload_pipeline(device, &source, std::move(scan),
                                       FusedUploadColumns(members),
                                       {options.overlap_transfers});
-  std::vector<const std::vector<float>*> weights(m, nullptr);
+  std::vector<raster::MultiTarget> targets(m);
+  for (std::size_t t = 0; t < m; ++t) {
+    targets[t].filters = &members[t].filters;
+    targets[t].weight_column = members[t].weight_column;
+    targets[t].fbo = point_leases[t].get();
+  }
+  raster::PointPassBuffers buffers;  // reused by every batch
+  ThreadPool& pool = device->pool();
   for (;;) {
     RJ_ASSIGN_OR_RETURN(std::optional<join::BatchPipeline::BatchView> view,
                         upload_pipeline.Acquire());
     if (!view.has_value()) break;
-    const PointTable& points = *view->rows;
-    const std::size_t begin = view->begin;
-    const std::size_t end = view->end;
-    for (std::size_t t = 0; t < m; ++t) {
-      if (members[t].weight_column != PointTable::npos) {
-        weights[t] = &points.attribute(members[t].weight_column);
-      }
-    }
-
     ScopedPhase sp(&out.timing, phase::kProcessing);
+    const data::BlockView& rows = view->rows;
+    // The column vertex stage of the point pass (filters, transform,
+    // clip) runs once for the group; AccuratePoints classifies each of its
+    // fragments through the boundary mask.
+    const raster::PointPass pass(vp, rows, targets, &buffers);
 
-    // AccuratePoints for point i: the member-independent work — transform,
-    // clip, boundary classification, and (for boundary pixels) the
-    // candidate PIP resolution via Procedure JoinPoint — runs once; each
-    // member whose filters match then accumulates its share: boundary
-    // points into `accs`, interior points through `emit_interior`.
-    // `contained` holds the containing polygon ids in candidate order, so
-    // every member accumulates in its group-of-one order.
-    // Returns 0 = no member/clipped, 1 = interior, 2 = boundary.
-    const auto process_point = [&](std::size_t i,
-                                   std::vector<raster::ResultArrays>* accs,
-                                   const auto& emit_interior,
-                                   std::vector<unsigned char>* match,
-                                   std::vector<std::size_t>* contained) {
-      bool any = false;
-      for (std::size_t t = 0; t < m; ++t) {
-        (*match)[t] = members[t].filters.Matches(points, i) ? 1 : 0;
-        any |= (*match)[t] != 0;
-      }
-      if (!any) return 0;
-
-      const Point p = points.At(i);
-      const Point s = vp.ToScreen(p);
-      const auto px = static_cast<std::int32_t>(std::floor(s.x));
-      const auto py = static_cast<std::int32_t>(std::floor(s.y));
-      if (px < 0 || px >= dim || py < 0 || py >= dim) return 0;  // clipped
-
-      if (raster::IsBoundaryPixel(boundary_mask, px, py)) {
-        contained->clear();
-        auto [cand_begin, cand_end] = index.Candidates(p);
-        for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
-          const Polygon& poly = polys[static_cast<std::size_t>(*c)];
-          if (!poly.Contains(p)) continue;
-          contained->push_back(static_cast<std::size_t>(poly.id()));
-        }
-        for (std::size_t t = 0; t < m; ++t) {
-          if ((*match)[t] == 0) continue;
-          const bool has_weight = weights[t] != nullptr;
-          const float w = has_weight ? (*weights[t])[i] : 0.0f;
-          raster::ResultArrays& acc = (*accs)[t];
-          for (const std::size_t id : *contained) {
-            acc.count[id] += 1.0;
-            if (has_weight) {
-              acc.sum[id] += w;
-              acc.min[id] = std::min(acc.min[id], static_cast<double>(w));
-              acc.max[id] = std::max(acc.max[id], static_cast<double>(w));
+    // AccuratePoints over rows [begin, end): a boundary fragment's point
+    // is resolved by Procedure JoinPoint once — `contained` holds the
+    // containing polygon ids in candidate order — and accumulated into
+    // `accs` by every member that accepts it, in row order; an interior
+    // fragment goes to `emit_interior`.
+    const auto accurate_points = [&](std::size_t begin, std::size_t end,
+                                     std::vector<raster::ResultArrays>* accs,
+                                     const auto& emit_interior,
+                                     std::uint64_t* interior,
+                                     std::uint64_t* boundary) {
+      raster::PointFrag frags[raster::kVertexBlockRows] = {};
+      std::vector<std::size_t> contained;
+      for (std::size_t b = begin; b < end; b += raster::kVertexBlockRows) {
+        const std::size_t count =
+            pass.Vertex(b, std::min(end, b + raster::kVertexBlockRows), frags);
+        for (std::size_t k = 0; k < count; ++k) {
+          const raster::PointFrag& f = frags[k];
+          if (!raster::IsBoundaryPixel(boundary_mask, f.pixel)) {
+            emit_interior(f);
+            ++*interior;
+            continue;
+          }
+          ++*boundary;
+          const Point p = rows.At(f.row);
+          contained.clear();
+          auto [cand_begin, cand_end] = index.Candidates(p);
+          for (const std::int32_t* c = cand_begin; c != cand_end; ++c) {
+            const Polygon& poly = polys[static_cast<std::size_t>(*c)];
+            if (poly.Contains(p)) {
+              contained.push_back(static_cast<std::size_t>(poly.id()));
+            }
+          }
+          for (std::size_t t = 0; t < m; ++t) {
+            if (!pass.Matches(t, f)) continue;
+            const float* weights = pass.weights(t);
+            const float w = weights != nullptr ? weights[f.row] : 0.0f;
+            raster::ResultArrays& acc = (*accs)[t];
+            for (const std::size_t id : contained) {
+              acc.count[id] += 1.0;
+              if (weights != nullptr) {
+                acc.sum[id] += w;
+                acc.min[id] = std::min(acc.min[id], static_cast<double>(w));
+                acc.max[id] = std::max(acc.max[id], static_cast<double>(w));
+              }
             }
           }
         }
-        return 2;
       }
-      for (std::size_t t = 0; t < m; ++t) {
-        if ((*match)[t] == 0) continue;
-        const float w = weights[t] != nullptr ? (*weights[t])[i] : 0.0f;
-        emit_interior(t, raster::PointFrag{px, py, w});
-      }
-      return 1;
     };
 
-    ThreadPool& pool = device->pool();
-    const std::size_t batch_n = end - begin;
-    const std::size_t num_chunks = pool.NumChunks(batch_n);
+    const std::size_t num_chunks = pool.NumChunks(rows.size);
     if (num_chunks <= 1) {
-      std::vector<unsigned char> match(m, 0);
-      std::vector<std::size_t> contained;
-      for (std::size_t i = begin; i < end; ++i) {
-        switch (process_point(
-            i, &out.arrays,
-            [&](std::size_t t, const raster::PointFrag& f) {
-              raster::BlendPointFrag(point_leases[t].get(), f,
-                                     weights[t] != nullptr);
-            },
-            &match, &contained)) {
-          case 1: ++interior_points; break;
-          case 2: ++boundary_points; break;
-          default: break;
-        }
-      }
+      accurate_points(
+          0, rows.size, &out.arrays,
+          [&](const raster::PointFrag& f) {
+            for (std::size_t t = 0; t < m; ++t) {
+              if (pass.Matches(t, f)) pass.Blend(t, f);
+            }
+          },
+          &interior_points, &boundary_points);
     } else {
       // Tiled-parallel AccuratePoints: per chunk, a private ResultArrays
-      // per member plus one interior-fragment binner per member; both
-      // merged in ascending chunk order — each member's accumulation
+      // per member, merged in ascending chunk order, and a run of interior
+      // fragments in the flat buffer (from the chunk's first row on),
+      // replayed per row band in chunk order — each member's accumulation
       // sequence is exactly its sequential order.
-      std::vector<raster::BandBinner> binners;
-      binners.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        binners.emplace_back(num_chunks, dim, /*expected_frags=*/batch_n);
-      }
+      buffers.frags.resize(rows.size);
+      std::vector<raster::PointPass::FragRun> runs(num_chunks);
       std::vector<std::vector<raster::ResultArrays>> partials(
           num_chunks,
           std::vector<raster::ResultArrays>(
@@ -217,40 +199,19 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
       std::vector<std::uint64_t> boundary_per_chunk(num_chunks, 0);
       std::vector<std::uint64_t> interior_per_chunk(num_chunks, 0);
       std::vector<std::uint64_t> pips_per_chunk(num_chunks, 0);
-      pool.ParallelFor(batch_n, [&](std::size_t c_begin, std::size_t c_end,
-                                    std::size_t chunk) {
+      pool.ParallelFor(rows.size, [&](std::size_t c_begin, std::size_t c_end,
+                                      std::size_t chunk) {
         const std::size_t chunk_pips_before = GetThreadPipTestCount();
-        std::vector<unsigned char> match(m, 0);
-        std::vector<std::size_t> contained;
-        std::uint64_t interior = 0;
-        std::uint64_t boundary = 0;
-        for (std::size_t k = c_begin; k < c_end; ++k) {
-          switch (process_point(
-              begin + k, &partials[chunk],
-              [&](std::size_t t, const raster::PointFrag& f) {
-                binners[t].Push(chunk, f);
-              },
-              &match, &contained)) {
-            case 1: ++interior; break;
-            case 2: ++boundary; break;
-            default: break;
-          }
-        }
-        interior_per_chunk[chunk] = interior;
-        boundary_per_chunk[chunk] = boundary;
+        raster::PointFrag* const run = buffers.frags.data() + c_begin;
+        std::size_t staged = 0;
+        accurate_points(
+            c_begin, c_end, &partials[chunk],
+            [&](const raster::PointFrag& f) { run[staged++] = f; },
+            &interior_per_chunk[chunk], &boundary_per_chunk[chunk]);
+        runs[chunk] = raster::PointPass::FragRun{run, staged};
         pips_per_chunk[chunk] = GetThreadPipTestCount() - chunk_pips_before;
       });
-      pool.ParallelFor(
-          binners[0].num_bands(),
-          [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-            for (std::size_t t = 0; t < m; ++t) {
-              binners[t].ReplayBands(
-                  band_begin, band_end, [&](const raster::PointFrag& f) {
-                    raster::BlendPointFrag(point_leases[t].get(), f,
-                                           weights[t] != nullptr);
-                  });
-            }
-          });
+      pass.BlendRuns(runs, &pool, /*drawn=*/nullptr);
       for (std::size_t c = 0; c < num_chunks; ++c) {
         for (std::size_t t = 0; t < m; ++t) {
           out.arrays[t].AddFrom(partials[c][t]);

@@ -83,9 +83,8 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
 
   std::uint64_t drawn_total = 0;
 
-  // One pipeline for every tile pass: the transfer (and, for disk
-  // sources, reader) thread and the slots' staging buffers stay warm
-  // across tiles (Rewind re-streams the blocks per pass), instead of
+  // One pipeline for every tile pass: the transfer thread and the slots'
+  // staging buffers stay warm across tiles (Rewind re-streams the blocks per pass), instead of
   // paying a thread spawn and two batch-sized staging allocations per
   // tile.
   join::BatchPipeline pipeline(device, &source, std::move(scan), columns,
@@ -121,20 +120,11 @@ Result<FusedJoinOutput> FusedBoundedRasterJoin(
       if (!view.has_value()) break;
       {
         ScopedPhase sp(&out.timing, phase::kProcessing);
-        const PointTable& rows = *view->rows;
-        std::vector<std::uint64_t> drawn;
-        if (view->begin == 0 && view->end == rows.size()) {
-          // Whole-table/whole-block batch: draw in place, no slice copy.
-          drawn = raster::DrawPointsMulti(vp, rows, targets,
-                                          &device->counters(),
-                                          &device->pool());
-        } else {
-          drawn = raster::DrawPointsMulti(vp,
-                                          rows.Slice(view->begin, view->end),
-                                          targets, &device->counters(),
-                                          &device->pool());
+        for (const std::uint64_t d :
+             raster::DrawPointsMulti(vp, view->rows, targets,
+                                     &device->counters(), &device->pool())) {
+          drawn_total += d;
         }
-        for (const std::uint64_t d : drawn) drawn_total += d;
       }
       pipeline.Release(*view);
       device->counters().AddBatches(1);

@@ -60,8 +60,8 @@ struct BoundedRasterJoinStats {
 };
 
 /// Bounded raster join (§4.1–4.2) for a fusion group over blocks `scan` of
-/// `source` (ascending ordinals; one device batch per block; disk-resident
-/// sources run the three-stage disk→host→device pipeline). The one
+/// `source` (ascending ordinals; one device batch per block, drawn from
+/// its zero-copy view). The one
 /// implementation of the variant: one triangle-VBO upload, one
 /// BatchPipeline scan re-streamed per tile, one DrawPointsMulti per
 /// tile/batch, then a per-member DrawPolygons + optional §5 ranges. The

@@ -607,7 +607,10 @@ Result<FusedJoinOutput> Executor::JoinShard(
         cap == 0 ? plan_within(device->bytes_free())
                  : plan_cache_->GetUpload({cap, setup.stride, rows, overlap},
                                           [&] { return plan_within(cap); });
-    batches.emplace(shard.table, plan.batch_size);
+    // The registered source already holds the shard's extent: handing it
+    // over keeps the re-cut O(1) even for a table whose extent was never
+    // cached.
+    batches.emplace(shard.table, plan.batch_size, source->extent());
     source = &*batches;
     scan = AllBlocks(*source);
     overlap = plan.overlap_transfers;

@@ -113,8 +113,8 @@ class Executor {
 
   /// Block source (typically an mmap-backed data::BlockFileReader — the
   /// disk-resident registration path): one shard on `device` whose
-  /// region-selected blocks stream through the three-stage
-  /// disk→host→device pipeline; results are bitwise identical to an
+  /// region-selected blocks stream as zero-copy views through the
+  /// two-stage upload pipeline; results are bitwise identical to an
   /// in-memory executor over data::MaterializeBlocks(*source). Neither
   /// `source` nor `polys` are copied; both must outlive this.
   Executor(gpu::Device* device, const data::PointBlockSource* source,

@@ -1,7 +1,10 @@
 #include "raster/pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
 
 #include "raster/conservative.h"
@@ -12,137 +15,225 @@ namespace rj::raster {
 namespace {
 
 /// Row bands per canvas: enough to keep every worker busy in the fragment
-/// stage without shattering the buckets. Clamped to the canvas height so a
-/// band always owns at least one full row (exclusive writes).
+/// stage. Clamped to the canvas height so a band always owns at least one
+/// full row (exclusive writes).
 std::size_t PlanBands(std::int32_t height, std::size_t workers) {
   return std::min<std::size_t>(static_cast<std::size_t>(height),
                                std::max<std::size_t>(workers, 1));
 }
 
-/// One target's state in a point pass (its lane), resolved once per pass.
-struct Lane {
-  const FilterSet* filters;
-  const float* weights;  ///< null for a COUNT-only target
-  Fbo* fbo;
+/// One outline fragment of DrawBoundaries.
+struct PixelXY {
+  std::int32_t x;
+  std::int32_t y;
 };
 
-/// The point pass of DrawPointsMulti over `lanes`, adding each target's
-/// drawn count to `drawn`. Instantiated for exactly one target (every solo
-/// query) and for any number: with one target its state is a register
-/// copy across the point loop, instead of a re-read of `lanes` after every
-/// staged fragment (whose pointer stores may alias it), which measured
-/// 5–15% faster on the point pass.
-template <bool kOneTarget>
-void PointPass(const Viewport& vp, const PointTable& points,
-               const std::vector<Lane>& lanes, ThreadPool* pool,
-               std::vector<std::uint64_t>* drawn) {
-  const std::size_t n = points.size();
-  const std::size_t m = kOneTarget ? 1 : lanes.size();
-  const std::int32_t width = lanes[0].fbo->width();
-  const std::int32_t height = lanes[0].fbo->height();
-
-  // The vertex stage of point i, shared by every target: the filter
-  // decision is per target, but the transform+clip runs at most once (it
-  // is a pure function of the point, so reusing it is bit-identical to
-  // each target recomputing it). Filtered-out points are skipped before
-  // the transform (the paper's vertex shader positions them outside the
-  // viewport); clipped points reach no target. `first` is the caller's
-  // copy of lanes[0]; `emit(t, frag)` receives each surviving fragment.
-  const auto vertex_stage = [&](std::size_t i, const Lane& first,
-                                const auto& emit) {
-    bool transformed = false;
-    std::int32_t px = 0;
-    std::int32_t py = 0;
-    for (std::size_t t = 0; t < m; ++t) {
-      const Lane& lane = kOneTarget ? first : lanes[t];
-      if (!lane.filters->Matches(points, i)) continue;
-      if (!transformed) {
-        const Point s = vp.ToScreen(points.At(i));
-        px = static_cast<std::int32_t>(std::floor(s.x));
-        py = static_cast<std::int32_t>(std::floor(s.y));
-        if (px < 0 || px >= width || py < 0 || py >= height) return;
-        transformed = true;
-      }
-      emit(t, PointFrag{px, py,
-                        lane.weights != nullptr ? lane.weights[i] : 0.0f});
-    }
-  };
-
-  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
-  if (num_chunks <= 1) {
-    // Sequential path: vertex and fragment stage fused per point.
-    const Lane first = lanes[0];
-    std::uint64_t first_drawn = 0;  // lanes[0]'s count, kept like `first`
-    for (std::size_t i = 0; i < n; ++i) {
-      vertex_stage(i, first, [&](std::size_t t, const PointFrag& f) {
-        const Lane& lane = kOneTarget ? first : lanes[t];
-        BlendPointFrag(lane.fbo, f, lane.weights != nullptr);
-        ++(t == 0 ? first_drawn : (*drawn)[t]);
-      });
-    }
-    (*drawn)[0] += first_drawn;
-    return;
+/// One filter conjunct over `n` values of its column into the byte mask
+/// `keep`: the first conjunct sets it, later ones narrow it. Branch-free
+/// (the comparison is a 0/1 value), so the loop vectorizes.
+template <bool kFirst, typename Op>
+void EvalConjunct(const float* col, float value, std::size_t n,
+                  std::uint8_t* keep, Op op) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto pass = static_cast<std::uint8_t>(op(col[i], value));
+    keep[i] = kFirst ? pass : static_cast<std::uint8_t>(keep[i] & pass);
   }
+}
 
-  // Tiled-parallel path. Vertex stage: each chunk runs its contiguous
-  // slice of the point stream, staging surviving fragments into one
-  // binner per target. Nothing else is written per fragment: the drawn
-  // counts are the binners' sizes, so no shared counter puts the workers
-  // on one cache line.
-  std::vector<BandBinner> binners;
-  binners.reserve(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    binners.emplace_back(num_chunks, height, /*expected_frags=*/n);
+template <bool kFirst>
+void EvalConjunct(const AttributeFilter& f, const float* col, std::size_t n,
+                  std::uint8_t* keep) {
+  switch (f.op) {
+    case FilterOp::kGreater:
+      return EvalConjunct<kFirst>(col, f.value, n, keep, std::greater<>());
+    case FilterOp::kGreaterEqual:
+      return EvalConjunct<kFirst>(col, f.value, n, keep,
+                                  std::greater_equal<>());
+    case FilterOp::kLess:
+      return EvalConjunct<kFirst>(col, f.value, n, keep, std::less<>());
+    case FilterOp::kLessEqual:
+      return EvalConjunct<kFirst>(col, f.value, n, keep, std::less_equal<>());
+    case FilterOp::kEqual:
+      return EvalConjunct<kFirst>(col, f.value, n, keep, std::equal_to<>());
   }
-  pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
-                           std::size_t chunk) {
-    const Lane first = lanes[0];
-    for (std::size_t i = begin; i < end; ++i) {
-      vertex_stage(i, first, [&](std::size_t t, const PointFrag& f) {
-        binners[t].Push(chunk, f);
-      });
-    }
-  });
+}
 
-  // Fragment stage: every binner shares the band layout (same height, same
-  // chunk count), so each worker owns a contiguous run of row bands and
-  // replays every target's fragments there in sequential point order (see
-  // BandBinner). Targets' FBOs are disjoint, so cross-target order cannot
-  // matter.
-  pool->ParallelFor(
-      binners[0].num_bands(),
-      [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-        for (std::size_t t = 0; t < m; ++t) {
-          Fbo* const fbo = lanes[t].fbo;
-          const bool has_weight = lanes[t].weights != nullptr;
-          binners[t].ReplayBands(band_begin, band_end,
-                                 [fbo, has_weight](const PointFrag& f) {
-                                   BlendPointFrag(fbo, f, has_weight);
-                                 });
-        }
-      });
-  for (std::size_t t = 0; t < m; ++t) (*drawn)[t] += binners[t].size();
+/// Every conjunct of a non-empty `filters` over rows [begin, begin + n) of
+/// `rows`, one column at a time: keep[i] = FilterSet::Matches(row begin+i).
+void EvalFilters(const FilterSet& filters, const data::BlockView& rows,
+                 std::size_t begin, std::size_t n, std::uint8_t* keep) {
+  const std::vector<AttributeFilter>& conjuncts = filters.filters();
+  EvalConjunct<true>(conjuncts[0],
+                     rows.attribute(conjuncts[0].column) + begin, n, keep);
+  for (std::size_t c = 1; c < conjuncts.size(); ++c) {
+    EvalConjunct<false>(conjuncts[c],
+                        rows.attribute(conjuncts[c].column) + begin, n, keep);
+  }
 }
 
 }  // namespace
 
-BandBinner::BandBinner(std::size_t num_chunks, std::int32_t height,
-                       std::size_t expected_frags)
-    : num_chunks_(num_chunks),
-      num_bands_(PlanBands(height, num_chunks)),
-      height_(height),
-      buckets_(num_chunks * num_bands_) {
-  if (expected_frags > 0) {
-    // Pre-size for a uniform spread; skewed inputs still grow as needed.
-    const std::size_t per_bucket = expected_frags / buckets_.size() + 1;
-    for (auto& bucket : buckets_) bucket.reserve(per_bucket);
+PointPass::PointPass(const Viewport& vp, const data::BlockView& rows,
+                     const std::vector<MultiTarget>& targets,
+                     PointPassBuffers* buffers)
+    : vp_(vp), rows_(rows), targets_(targets), buffers_(buffers) {
+  const std::size_t m = targets.size();
+  // Fragments pack the pixel and the row into 32 bits each.
+  assert(static_cast<std::uint64_t>(vp.width()) *
+             static_cast<std::uint64_t>(vp.height()) <=
+         std::numeric_limits<std::uint32_t>::max());
+  assert(rows.size <= std::numeric_limits<std::uint32_t>::max());
+  weights_.resize(m);
+  canvases_.resize(m);
+  for (std::size_t t = 0; t < m; ++t) {
+    weights_[t] = targets[t].weight_column != PointTable::npos
+                      ? rows.attribute(targets[t].weight_column)
+                      : nullptr;
+    canvases_[t] = targets[t].fbo->mutable_data().data();
+    all_rows_ = all_rows_ || targets[t].filters->empty();
+  }
+  if (m > 1) {
+    buffers->match.resize(m * rows.size);
+    match_ = buffers->match.data();
   }
 }
 
-std::size_t BandBinner::size() const {
-  std::size_t total = 0;
-  for (const auto& bucket : buckets_) total += bucket.size();
-  return total;
+template <bool kAllRows>
+std::size_t PointPass::Transform(const std::uint16_t* sel, std::size_t count,
+                                 std::size_t begin, PointFrag* out) const {
+  const double width = vp_.width();
+  const double height = vp_.height();
+  const auto stride = static_cast<std::uint32_t>(vp_.width());
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::size_t i = begin + (kAllRows ? j : sel[j]);
+    const Point s = vp_.ToScreen(rows_.At(i));
+    // Clip in double, before any integer conversion: NaN fails every
+    // comparison, and only coordinates on the canvas are converted.
+    const bool inside =
+        (s.x >= 0.0) & (s.x < width) & (s.y >= 0.0) & (s.y < height);
+    const auto px = static_cast<std::uint32_t>(inside ? s.x : 0.0);
+    const auto py = static_cast<std::uint32_t>(inside ? s.y : 0.0);
+    // Written unconditionally (k ≤ j, so inside the caller's room) and
+    // kept only when on the canvas.
+    out[k] = PointFrag{py * stride + px, static_cast<std::uint32_t>(i)};
+    k += inside ? 1 : 0;
+  }
+  return k;
+}
+
+std::size_t PointPass::Vertex(std::size_t begin, std::size_t end,
+                              PointFrag* out) const {
+  const std::size_t n = end - begin;
+  assert(n <= kVertexBlockRows);
+  const std::size_t m = targets_.size();
+  // keep[i]: some target accepts row begin + i.
+  std::uint8_t keep[kVertexBlockRows] = {};
+  for (std::size_t t = 0; t < m; ++t) {
+    const FilterSet& filters = *targets_[t].filters;
+    std::uint8_t* mask =
+        match_ == nullptr ? keep : match_ + t * rows_.size + begin;
+    if (filters.empty()) {
+      if (match_ != nullptr) std::memset(mask, 1, n);
+    } else {
+      EvalFilters(filters, rows_, begin, n, mask);
+    }
+  }
+  if (all_rows_) return Transform<true>(nullptr, n, begin, out);
+  if (match_ != nullptr) {
+    std::memcpy(keep, match_ + begin, n);
+    for (std::size_t t = 1; t < m; ++t) {
+      const std::uint8_t* mask = match_ + t * rows_.size + begin;
+      for (std::size_t i = 0; i < n; ++i) keep[i] |= mask[i];
+    }
+  }
+  // Selection vector of the accepted rows, branch-free.
+  std::uint16_t sel[kVertexBlockRows] = {};
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sel[count] = static_cast<std::uint16_t>(i);
+    count += keep[i];
+  }
+  return Transform<false>(sel, count, begin, out);
+}
+
+void PointPass::BlendRuns(const std::vector<FragRun>& runs, ThreadPool* pool,
+                          std::vector<std::uint64_t>* drawn) const {
+  const std::size_t m = targets_.size();
+  const std::size_t num_bands = PlanBands(vp_.height(), pool->num_threads());
+  const auto width = static_cast<std::uint32_t>(vp_.width());
+  const auto height = static_cast<std::size_t>(vp_.height());
+  std::vector<std::uint64_t> band_drawn(num_bands * m, 0);
+  pool->ParallelFor(num_bands, [&](std::size_t band_begin,
+                                   std::size_t band_end, std::size_t) {
+    for (std::size_t b = band_begin; b < band_end; ++b) {
+      // Band b owns canvas rows [b·h/B, (b+1)·h/B): pixels [lo, lo + span).
+      const auto lo =
+          static_cast<std::uint32_t>(b * height / num_bands) * width;
+      const auto hi =
+          static_cast<std::uint32_t>((b + 1) * height / num_bands) * width;
+      const std::uint32_t span = hi - lo;
+      for (std::size_t t = 0; t < m; ++t) {
+        std::uint64_t blended = 0;
+        for (const FragRun& run : runs) {
+          for (std::size_t k = 0; k < run.size; ++k) {
+            const PointFrag& f = run.frags[k];
+            if (f.pixel - lo >= span || !Matches(t, f)) continue;
+            Blend(t, f);
+            ++blended;
+          }
+        }
+        band_drawn[b * m + t] = blended;
+      }
+    }
+  });
+  if (drawn == nullptr) return;
+  for (std::size_t b = 0; b < num_bands; ++b) {
+    for (std::size_t t = 0; t < m; ++t) (*drawn)[t] += band_drawn[b * m + t];
+  }
+}
+
+std::vector<std::uint64_t> PointPass::Draw(ThreadPool* pool) const {
+  const std::size_t n = rows_.size;
+  const std::size_t m = targets_.size();
+  std::vector<std::uint64_t> drawn(m, 0);
+  const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
+  if (num_chunks <= 1) {
+    // One worker: each sub-block's fragments are blended while cache-hot.
+    PointFrag frags[kVertexBlockRows] = {};
+    for (std::size_t begin = 0; begin < n; begin += kVertexBlockRows) {
+      const std::size_t count =
+          Vertex(begin, std::min(n, begin + kVertexBlockRows), frags);
+      for (std::size_t t = 0; t < m; ++t) {
+        std::uint64_t blended = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+          if (!Matches(t, frags[k])) continue;
+          Blend(t, frags[k]);
+          ++blended;
+        }
+        drawn[t] += blended;
+      }
+    }
+    return drawn;
+  }
+
+  // Vertex stage: chunk c writes its fragments, in row order, into the
+  // flat buffer from its first row on (a chunk keeps at most one fragment
+  // per row, so the runs never overlap).
+  buffers_->frags.resize(n);
+  PointFrag* const flat = buffers_->frags.data();
+  std::vector<FragRun> runs(num_chunks);
+  pool->ParallelFor(n, [&](std::size_t begin, std::size_t end,
+                           std::size_t chunk) {
+    std::size_t count = 0;
+    for (std::size_t b = begin; b < end; b += kVertexBlockRows) {
+      count += Vertex(b, std::min(end, b + kVertexBlockRows),
+                      flat + begin + count);
+    }
+    runs[chunk] = FragRun{flat + begin, count};
+  });
+  BlendRuns(runs, pool, &drawn);
+  return drawn;
 }
 
 void ResultArrays::Resize(std::size_t num_polygons) {
@@ -164,37 +255,26 @@ void ResultArrays::AddFrom(const ResultArrays& other) {
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters, ThreadPool* pool) {
-  return DrawPointsMulti(vp, points,
+  return DrawPointsMulti(vp, data::ViewRows(points, 0, points.size()),
                          {MultiTarget{&filters, weight_column, fbo}}, counters,
                          pool)[0];
 }
 
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& points,
+    const Viewport& vp, const data::BlockView& rows,
     const std::vector<MultiTarget>& targets, gpu::Counters* counters,
     ThreadPool* pool) {
-  const std::size_t m = targets.size();
-  std::vector<std::uint64_t> drawn(m, 0);
-  if (m == 0) return drawn;
-
-  std::vector<Lane> lanes(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    lanes[t].filters = targets[t].filters;
-    lanes[t].weights = targets[t].weight_column != PointTable::npos
-                           ? points.attribute(targets[t].weight_column).data()
-                           : nullptr;
-    lanes[t].fbo = targets[t].fbo;
-  }
-  if (m == 1) {
-    PointPass</*kOneTarget=*/true>(vp, points, lanes, pool, &drawn);
-  } else {
-    PointPass</*kOneTarget=*/false>(vp, points, lanes, pool, &drawn);
-  }
+  if (targets.empty()) return {};
+  // Reused by every pass on this thread: the band replay reads the buffers
+  // only inside this call, and no pass nests in another.
+  thread_local PointPassBuffers buffers;
+  const std::vector<std::uint64_t> drawn =
+      PointPass(vp, rows, targets, &buffers).Draw(pool);
 
   if (counters != nullptr) {
     // The scan is shared: meter the vertex stage once for the whole group,
     // and the fragment stage as the sum of what every target blended.
-    counters->AddVerticesProcessed(points.size());
+    counters->AddVerticesProcessed(rows.size);
     std::uint64_t total = 0;
     for (const std::uint64_t d : drawn) total += d;
     counters->AddFragments(total);
@@ -328,33 +408,40 @@ void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
       });
     }
   } else {
-    // Parallel path: each chunk rasterizes its polygons into per-band
-    // fragment buckets; each band's owner then sets the pixels. The mark
-    // is an idempotent Set(…, 1), so replay order within a band cannot
-    // matter — bitwise identity with the sequential pass is free. The
-    // fragment meter is counted at staging time so duplicates are counted
-    // exactly as the sequential loop counts them.
-    BandBinner binner(num_chunks, height);
-    std::vector<std::uint64_t> frags_per_chunk(num_chunks, 0);
+    // Parallel path: each chunk rasterizes its polygons into its own
+    // fragment list; each row band's owner then sets the pixels of its rows
+    // from every list. The mark is an idempotent Set(…, 1), so replay
+    // order cannot matter — bitwise identity with the sequential pass is
+    // free. The fragment meter counts the staged fragments, duplicates
+    // included, exactly as the sequential loop counts them.
+    std::vector<std::vector<PixelXY>> staged(num_chunks);
     pool->ParallelFor(polys.size(), [&](std::size_t begin, std::size_t end,
                                         std::size_t chunk) {
-      std::uint64_t local = 0;
       for (std::size_t i = begin; i < end; ++i) {
         draw_polygon(polys[i], [&](std::int32_t x, std::int32_t y) {
-          binner.Push(chunk, {x, y, 0.0f});
-          ++local;
+          staged[chunk].push_back({x, y});
         });
       }
-      frags_per_chunk[chunk] = local;
     });
-    pool->ParallelFor(
-        binner.num_bands(),
-        [&](std::size_t band_begin, std::size_t band_end, std::size_t) {
-          binner.ReplayBands(band_begin, band_end, [&](const PointFrag& f) {
+    const std::size_t num_bands = PlanBands(height, pool->num_threads());
+    pool->ParallelFor(num_bands, [&](std::size_t band_begin,
+                                     std::size_t band_end, std::size_t) {
+      // Bands [band_begin, band_end) own rows [y0, y1).
+      const auto y0 = static_cast<std::int32_t>(
+          band_begin * static_cast<std::size_t>(height) / num_bands);
+      const auto y1 = static_cast<std::int32_t>(
+          band_end * static_cast<std::size_t>(height) / num_bands);
+      for (const std::vector<PixelXY>& frags : staged) {
+        for (const PixelXY& f : frags) {
+          if (f.y >= y0 && f.y < y1) {
             boundary_fbo->Set(f.x, f.y, kChannelCount, 1.0f);
-          });
-        });
-    for (const std::uint64_t f : frags_per_chunk) fragments += f;
+          }
+        }
+      }
+    });
+    for (const std::vector<PixelXY>& frags : staged) {
+      fragments += frags.size();
+    }
   }
   if (counters != nullptr) counters->AddFragments(fragments);
 }

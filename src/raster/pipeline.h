@@ -6,12 +6,22 @@
 /// paper's OpenGL implementation (§6.1). The "vertex stage" applies filter
 /// constraints and the world→screen transform; the "fragment stage" blends
 /// into the FBO or accumulates into the result SSBO analogue.
+///
+/// The point pass reads its rows as a data::BlockView: column pointers
+/// into a PointTable, or straight into a block file's mapping, never a
+/// copy. In a join the view comes from join::BatchPipeline, whose transfer
+/// thread packed (and so first touched) the same block one step ahead, so
+/// the vertex stage reads cache-warm pages. PointPass is that pass's two
+/// stages, a column-at-a-time vertex stage and a per-target fragment
+/// stage, shared by the bounded (DrawPointsMulti) and accurate
+/// (FusedAccurateRasterJoin) variants.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "data/point_block_source.h"
 #include "data/point_table.h"
 #include "gpu/counters.h"
 #include "query/filter.h"
@@ -34,83 +44,23 @@ struct ResultArrays {
   void AddFrom(const ResultArrays& other);
 };
 
-/// One staged point fragment: screen position plus the pre-fetched weight
-/// attribute (0 when the query has no weight column).
+/// Rows per sub-block of the column vertex stage: its selection masks,
+/// selection vector and fragments stay in L1 while a sub-block runs.
+inline constexpr std::size_t kVertexBlockRows = 2048;
+
+/// One fragment of the point pass: the packed pixel index (y * width + x)
+/// a surviving row lands on, and the row's index in the scanned view.
 struct PointFrag {
-  std::int32_t x;
-  std::int32_t y;
-  float w;
-};
-
-/// The point-pass fragment stage: blends one fragment's partial aggregate
-/// into `fbo`. The single definition shared by the sequential and staged
-/// paths (and the accurate join) — the bitwise-determinism guarantee
-/// requires every path to perform these exact operations in this order.
-inline void BlendPointFrag(Fbo* fbo, const PointFrag& f, bool has_weight) {
-  fbo->Add(f.x, f.y, kChannelCount, 1.0f);
-  if (has_weight) {
-    fbo->Add(f.x, f.y, kChannelSum, f.w);
-    fbo->BlendMin(f.x, f.y, kChannelMin, f.w);
-    fbo->BlendMax(f.x, f.y, kChannelMax, f.w);
-  }
-}
-
-/// Deterministic sort-middle staging for parallel additive blending.
-///
-/// The canvas is tiled into horizontal row bands, one exclusive owner per
-/// band. Producers (the parallel "vertex stage") append fragments into a
-/// per-(chunk, band) bucket; consumers (the parallel "fragment stage") each
-/// replay one band's buckets in ascending chunk order. Because ParallelFor
-/// chunks are contiguous ascending index ranges, every pixel sees its
-/// fragments in exactly the order a sequential loop would produce — the
-/// N-thread result is bitwise identical to the 1-thread result.
-class BandBinner {
- public:
-  /// `num_chunks` producer chunks over a canvas of `height` rows.
-  /// `expected_frags` (when non-zero) pre-sizes the buckets for a uniform
-  /// spread, avoiding growth reallocations on the hot path.
-  BandBinner(std::size_t num_chunks, std::int32_t height,
-             std::size_t expected_frags = 0);
-
-  std::size_t num_bands() const { return num_bands_; }
-
-  /// Fragments staged so far, over every chunk and band.
-  std::size_t size() const;
-
-  /// Appends a fragment produced by chunk `chunk` (its ParallelFor index).
-  void Push(std::size_t chunk, const PointFrag& f) {
-    buckets_[chunk * num_bands_ + BandOf(f.y)].push_back(f);
-  }
-
-  /// Invokes `fn(frag)` for every fragment of bands [band_begin, band_end),
-  /// band by band, in ascending chunk order within each band.
-  template <typename Fn>
-  void ReplayBands(std::size_t band_begin, std::size_t band_end,
-                   const Fn& fn) const {
-    for (std::size_t b = band_begin; b < band_end; ++b) {
-      for (std::size_t c = 0; c < num_chunks_; ++c) {
-        for (const PointFrag& f : buckets_[c * num_bands_ + b]) fn(f);
-      }
-    }
-  }
-
- private:
-  std::size_t BandOf(std::int32_t y) const {
-    return static_cast<std::size_t>(y) * num_bands_ /
-           static_cast<std::size_t>(height_);
-  }
-
-  std::size_t num_chunks_;
-  std::size_t num_bands_;
-  std::int32_t height_;
-  std::vector<std::vector<PointFrag>> buckets_;
+  std::uint32_t pixel;
+  std::uint32_t row;
 };
 
 /// Procedure DrawPoints (§4.1): renders every point passing `filters` into
 /// `fbo` with additive blending. Channel 0 += 1; channel 1 += weight
 /// attribute (if `weight_column` != npos); channels 2/3 track min/max.
 /// Points outside the viewport are clipped. Returns the number of points
-/// actually drawn (post-filter, post-clip). A one-target DrawPointsMulti.
+/// actually drawn (post-filter, post-clip). A one-target DrawPointsMulti
+/// over the whole table.
 std::uint64_t DrawPoints(const Viewport& vp, const PointTable& points,
                          const FilterSet& filters, std::size_t weight_column,
                          Fbo* fbo, gpu::Counters* counters,
@@ -126,23 +76,112 @@ struct MultiTarget {
   Fbo* fbo = nullptr;
 };
 
-/// The point pass, the one implementation of Procedure DrawPoints: one
-/// scan of `points` feeding every target. Per point the world→screen
-/// transform and clip run once; each target whose filters match blends the
-/// fragment into its own FBO. Per-target FBOs are disjoint, so each
-/// target's FBO is bitwise identical to a one-target pass over it.
-/// Returns the per-target drawn counts.
+/// Storage a point pass reuses from one call to the next: the flat
+/// fragment buffer of the parallel fragment stage and, for more than one
+/// target, the per-target match bytes.
+struct PointPassBuffers {
+  std::vector<PointFrag> frags;
+  std::vector<std::uint8_t> match;
+};
+
+/// The point pass over one view of rows, split into the paper's two shader
+/// stages (§4.1, §6.1) and shared by both raster variants.
 ///
-/// When `pool` has more than one worker the pass runs tiled-parallel: the
-/// vertex stage splits the point stream across workers and stages
-/// fragments per row band into one BandBinner per target (same band
-/// layout — the FBOs share a height), and the fragment stage blends each
-/// band on its owning worker, for every target. Results are bitwise
-/// identical to the sequential path for any worker count. Counters meter
-/// the shared scan once: vertices += points.size() (not once per target),
-/// fragments += the sum of per-target drawn counts.
+/// Vertex stage (Vertex): a column-at-a-time loop over sub-blocks of at
+/// most kVertexBlockRows rows. Each target's filter conjuncts are evaluated
+/// one column at a time into a byte mask (FilterSet::Matches stays the
+/// scalar definition these masks equal); the rows some target accepts
+/// form a branch-free selection vector; only those rows are transformed,
+/// by Viewport::ToScreen itself, and clipped in double before any integer
+/// conversion, so NaN, ±inf and far-off coordinates are discarded, never
+/// converted. On the canvas s ≥ 0, where truncation equals floor, so every
+/// finite point lands on exactly the pixel of ToScreen + floor.
+///
+/// Fragment stage (Blend): adds one fragment into a target's FBO. Draw runs
+/// both stages over the whole view: sub-block by sub-block on one worker,
+/// or, when `pool` has more than one worker, with the vertex stage split
+/// into contiguous chunks writing their fragments once into one flat
+/// buffer and each row band's owner replaying the chunks in ascending
+/// order (BlendRuns), keeping the fragments in its rows. Every FBO sees its
+/// fragments in ascending row order either way, so the result is bitwise
+/// independent of the worker count.
+class PointPass {
+ public:
+  /// One contiguous run of fragments in ascending row order, as one chunk
+  /// of a parallel vertex stage wrote it.
+  struct FragRun {
+    const PointFrag* frags = nullptr;
+    std::size_t size = 0;
+  };
+
+  /// `rows`, `targets` and `buffers` must outlive the pass; the targets'
+  /// FBOs share the canvas size of `vp`.
+  PointPass(const Viewport& vp, const data::BlockView& rows,
+            const std::vector<MultiTarget>& targets,
+            PointPassBuffers* buffers);
+
+  /// Weight column of target `t`, or nullptr for a COUNT-only target.
+  const float* weights(std::size_t t) const { return weights_[t]; }
+
+  /// Vertex stage over rows [begin, end), at most kVertexBlockRows of
+  /// them: writes to `out`, in ascending row order, one fragment per row
+  /// that some target accepts and that lands on the canvas, and returns
+  /// the count. Safe to run concurrently on disjoint row ranges.
+  std::size_t Vertex(std::size_t begin, std::size_t end, PointFrag* out) const;
+
+  /// True when target `t`'s filters accept the fragment's row (always, for
+  /// a one-target pass). Valid once Vertex has run over the row.
+  bool Matches(std::size_t t, const PointFrag& f) const {
+    return match_ == nullptr || match_[t * rows_.size + f.row] != 0;
+  }
+
+  /// Fragment stage of target `t`: count += 1 and, with a weight column,
+  /// sum += w, min = min(min, w), max = max(max, w) — Fbo::Add,
+  /// Fbo::BlendMin and Fbo::BlendMax at the fragment's pixel.
+  void Blend(std::size_t t, const PointFrag& f) const {
+    float* px = canvases_[t] + std::size_t{f.pixel} * kChannels;
+    px[kChannelCount] += 1.0f;
+    if (const float* w = weights_[t]; w != nullptr) {
+      const float v = w[f.row];
+      px[kChannelSum] += v;
+      if (v < px[kChannelMin]) px[kChannelMin] = v;
+      if (v > px[kChannelMax]) px[kChannelMax] = v;
+    }
+  }
+
+  /// Parallel fragment stage: each row band's owner, one per worker of
+  /// `pool`, blends for every target the fragments of `runs` inside its
+  /// rows that the target accepts, run by run in order. Adds each target's
+  /// blended count to `(*drawn)[t]` when `drawn` is non-null.
+  void BlendRuns(const std::vector<FragRun>& runs, ThreadPool* pool,
+                 std::vector<std::uint64_t>* drawn) const;
+
+  /// Both stages over the whole view; returns the per-target drawn counts.
+  std::vector<std::uint64_t> Draw(ThreadPool* pool) const;
+
+ private:
+  template <bool kAllRows>
+  std::size_t Transform(const std::uint16_t* sel, std::size_t count,
+                        std::size_t begin, PointFrag* out) const;
+
+  Viewport vp_;
+  const data::BlockView& rows_;
+  const std::vector<MultiTarget>& targets_;
+  PointPassBuffers* buffers_;
+  std::vector<const float*> weights_;  ///< per target; null = COUNT only
+  std::vector<float*> canvases_;       ///< per target FBO storage
+  std::uint8_t* match_ = nullptr;      ///< targets × rows; null for one
+  bool all_rows_ = false;              ///< some target has no filters
+};
+
+/// The point pass, the one implementation of Procedure DrawPoints: one
+/// scan of `rows` (PointPass::Draw) feeding every target. Per-target FBOs
+/// are disjoint, so each target's FBO is bitwise identical to a one-target
+/// pass over it, for any worker count. Returns the per-target drawn
+/// counts. Counters meter the shared scan once: vertices += rows.size (not
+/// once per target), fragments += the sum of per-target drawn counts.
 std::vector<std::uint64_t> DrawPointsMulti(
-    const Viewport& vp, const PointTable& points,
+    const Viewport& vp, const data::BlockView& rows,
     const std::vector<MultiTarget>& targets, gpu::Counters* counters,
     ThreadPool* pool = nullptr);
 
@@ -173,9 +212,9 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
 /// `boundary_fbo` (channel 0 = 1 marks a boundary pixel). Conservative
 /// rasterization guarantees no partially-covered pixel is missed.
 ///
-/// When `pool` has more than one worker, polygons are split across workers
-/// with their outline fragments staged per row band (BandBinner) and each
-/// band's pixels set by its owning worker — the marks are idempotent
+/// When `pool` has more than one worker, polygons are split across workers,
+/// each staging its outline fragments in its own list, and each row band's
+/// pixels are set by its owning worker — the marks are idempotent
 /// (Set(…, 1)), so the FBO is bitwise identical to the sequential pass and
 /// the fragment meter counts every mark exactly as the sequential loop.
 void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
@@ -186,6 +225,12 @@ void DrawBoundaries(const Viewport& vp, const PolygonSet& polys,
 inline bool IsBoundaryPixel(const Fbo& boundary_fbo, std::int32_t x,
                             std::int32_t y) {
   return boundary_fbo.At(x, y, kChannelCount) != 0.0f;
+}
+
+/// IsBoundaryPixel at a packed pixel index (PointFrag::pixel).
+inline bool IsBoundaryPixel(const Fbo& boundary_fbo, std::uint32_t pixel) {
+  return boundary_fbo.data()[std::size_t{pixel} * kChannels +
+                             kChannelCount] != 0.0f;
 }
 
 }  // namespace rj::raster

@@ -89,13 +89,16 @@ class Viewport {
   PixelRect PixelCover(const BBox& box) const;
 
   /// The pixel containing world point p (floor of screen coords), or
-  /// (-1,-1) when p is outside the viewport.
+  /// (-1,-1) when p is outside the viewport. The clip runs in double
+  /// before the cast, so NaN, ±inf and far-off points are rejected, never
+  /// converted.
   std::pair<std::int32_t, std::int32_t> PixelOf(const Point& p) const {
     const Point s = ToScreen(p);
-    const auto px = static_cast<std::int32_t>(std::floor(s.x));
-    const auto py = static_cast<std::int32_t>(std::floor(s.y));
-    if (px < 0 || px >= width_ || py < 0 || py >= height_) return {-1, -1};
-    return {px, py};
+    if (!(s.x >= 0.0 && s.x < width_ && s.y >= 0.0 && s.y < height_)) {
+      return {-1, -1};
+    }
+    return {static_cast<std::int32_t>(std::floor(s.x)),
+            static_cast<std::int32_t>(std::floor(s.y))};
   }
 
  private:

@@ -261,6 +261,23 @@ TEST_F(BlockFileTest, TableSourceViewBlockAliasesParentTable) {
   EXPECT_EQ(source.bytes_read(), 0u);
 }
 
+/// A per-query re-cut of a registered in-memory source (the executor cuts
+/// every RAM shard into grant-sized batches per query) takes its extent
+/// from the registered source: equal to the table's, with no extent scan,
+/// on a table that never cached its extent.
+TEST_F(BlockFileTest, RecutTableSourceTakesTheRegisteredExtent) {
+  const PointTable table = MakeTable(250);
+  ASSERT_FALSE(table.extent_cached());
+  const TableBlockSource registered(&table, table.size());
+  const TableBlockSource recut(&table, 100, registered.extent());
+  EXPECT_FALSE(table.extent_cached());
+  EXPECT_EQ(recut.extent(), table.Extent());
+  EXPECT_FALSE(recut.extent().IsEmpty());
+  EXPECT_EQ(recut.num_blocks(), 3u);
+  EXPECT_EQ(recut.block_rows(2), 50u);
+  EXPECT_EQ(recut.zone_map(0), nullptr);
+}
+
 TEST_F(BlockFileTest, OpenRejectsTruncatedAndCorruptFiles) {
   BlockFileOptions options;
   options.block_capacity = 64;

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/block_file.h"
@@ -286,6 +288,86 @@ TEST_F(BlockExecutorTest, FusedExecutionMatchesIndividualRuns) {
   ASSERT_TRUE(solo_sum.ok());
   ExpectIdentical(solo_count.value(), fused.value()[0]);
   ExpectIdentical(solo_sum.value(), fused.value()[1]);
+}
+
+/// Exact, machine-independent counters of three fixed queries over a
+/// small block file — the paper-shape proxy (§7): vertices, fragments,
+/// bytes transferred and read, blocks scanned and pruned. The file's fare
+/// column follows x, so its Hilbert-clustered blocks carry narrow fare
+/// ranges and the fare filters prune some of them. A change to how the
+/// scan reads blocks or how the point pass runs must leave every count
+/// unchanged; re-derive the constants only for a change that means to
+/// alter the work done.
+TEST_F(BlockExecutorTest, GoldenCountersOfFixedQueries) {
+  Rng rng(73);
+  PointTable points;
+  points.AddAttribute("fare");
+  points.AddAttribute("hour");
+  for (int i = 0; i < 12000; ++i) {
+    const double x = rng.Uniform(0, 800);
+    points.Append(x, rng.Uniform(0, 800),
+                  {static_cast<float>(x / 10 + rng.Uniform(0, 2)),
+                   static_cast<float>(rng.UniformInt(24))});
+  }
+  const std::string path = path_ + ".golden";
+  data::BlockFileOptions options;
+  options.block_capacity = 1024;
+  ASSERT_TRUE(data::BlockFileWriter(options).Write(path, points).ok());
+  auto source = data::OpenPointBlockSource(path);
+  std::remove(path.c_str());  // the mapping outlives the name
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  gpu::DeviceOptions dev_options;
+  dev_options.max_fbo_dim = 1024;
+  dev_options.num_workers = 2;
+  gpu::Device device(dev_options);
+  Executor executor(&device, source.value().get(), &polys_);
+
+  SpatialAggQuery bounded;
+  bounded.variant = JoinVariant::kBoundedRaster;
+  bounded.epsilon = 4.0;
+  bounded.aggregate = AggregateKind::kSum;
+  bounded.aggregate_column = 0;
+  ASSERT_TRUE(bounded.filters.Add({0, FilterOp::kGreater, 30.0f}).ok());
+
+  SpatialAggQuery accurate;
+  accurate.variant = JoinVariant::kAccurateRaster;
+  accurate.accurate_canvas_dim = 256;
+  accurate.aggregate = AggregateKind::kAverage;
+  accurate.aggregate_column = 0;
+  ASSERT_TRUE(accurate.filters.Add({0, FilterOp::kLess, 50.0f}).ok());
+  ASSERT_TRUE(accurate.filters.Add({1, FilterOp::kLess, 12.0f}).ok());
+
+  SpatialAggQuery index;
+  index.variant = JoinVariant::kIndexDevice;
+  ASSERT_TRUE(index.filters.Add({0, FilterOp::kLessEqual, 20.0f}).ok());
+
+  struct Golden {
+    std::uint64_t vertices;
+    std::uint64_t fragments;
+    std::uint64_t bytes_transferred;
+    std::uint64_t bytes_read;
+    std::uint64_t blocks_scanned;
+    std::uint64_t blocks_pruned;
+  };
+  const std::vector<std::pair<SpatialAggQuery, Golden>> cases = {
+      {bounded, {11201, 87684, 133812, 263424, 11, 1}},
+      {accurate, {225, 65536, 147456, 221184, 9, 3}},
+      {index, {0, 0, 49152, 98304, 4, 8}},
+  };
+  for (const auto& [query, golden] : cases) {
+    const std::uint64_t read_before = source.value()->bytes_read();
+    auto result = executor.ExecuteUncached(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const gpu::CountersSnapshot& c = result.value().counters;
+    const std::uint64_t read = source.value()->bytes_read() - read_before;
+    const std::string name = JoinVariantName(query.variant);
+    EXPECT_EQ(c.vertices, golden.vertices) << name;
+    EXPECT_EQ(c.fragments, golden.fragments) << name;
+    EXPECT_EQ(c.bytes_transferred, golden.bytes_transferred) << name;
+    EXPECT_EQ(read, golden.bytes_read) << name;
+    EXPECT_EQ(c.blocks_scanned, golden.blocks_scanned) << name;
+    EXPECT_EQ(c.blocks_pruned, golden.blocks_pruned) << name;
+  }
 }
 
 }  // namespace
