@@ -1,7 +1,8 @@
 /// \file bench_micro_primitives.cpp
 /// \brief google-benchmark micro-benchmarks for the hot primitives the
 /// join operators are built from: PIP tests, triangle rasterization,
-/// point and polygon drawing, grid builds and probes, and triangulation.
+/// point and polygon drawing, canvas reuse, grid builds and probes, and
+/// triangulation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "data/taxi_generator.h"
 #include "geometry/pip.h"
 #include "index/grid_index.h"
+#include "raster/fbo_pool.h"
 #include "raster/pipeline.h"
 #include "raster/rasterizer.h"
 #include "triangulate/triangulation.h"
@@ -225,6 +227,59 @@ void BM_DrawPolygons(benchmark::State& state) {
 BENCHMARK(BM_DrawPolygons)
     ->ArgNames({"accurate", "scissor", "workers"})
     ->ArgsProduct({{0, 1}, {0, 1}, {1, 2}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// Reacquiring a pooled canvas after one shard's point pass (shard 0 of
+/// BM_DrawPolygons' inputs, unfiltered SUM), the clear FboPool::Acquire
+/// does. Args: accurate (1 = the 1024² accurate canvas; 0 = the bounded
+/// ε = 100 canvas); strips (1 = only the strips the pass dirtied are
+/// cleared; 0 = the whole canvas is, as when every strip is dirty). Only
+/// the Acquire is timed.
+void BM_CanvasReacquire(benchmark::State& state) {
+  const PolygonPassInputs* in = GetPolygonPassInputs();
+  if (in == nullptr) {
+    state.SkipWithError("input generation failed");
+    return;
+  }
+  const BBox world = NycExtentMeters();
+  raster::CanvasTile tile = raster::SingleCanvas(world, 1024, 1024);
+  if (state.range(0) == 0) {
+    auto tiles = raster::PlanCanvas(world, 100.0, 4096);
+    if (!tiles.ok() || tiles.value().size() != 1) {
+      state.SkipWithError("bounded canvas is not one tile");
+      return;
+    }
+    tile = tiles.value()[0];
+  }
+  const bool strips = state.range(1) != 0;
+  const raster::Viewport vp(tile.world, tile.width, tile.height);
+  const PointTable& shard = in->shards.shard(0);
+  raster::FboPool pool;
+  raster::FboLease lease = pool.Acquire(tile.width, tile.height);
+  std::size_t dirty = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    raster::DrawPoints(vp, shard, FilterSet(), 0, lease.get(), nullptr);
+    if (!strips) lease->mutable_data();  // marks every strip dirty
+    dirty = 0;
+    for (std::size_t s = 0; s < lease->num_strips(); ++s) {
+      dirty += lease->StripDirty(s) ? 1 : 0;
+    }
+    lease = raster::FboLease();  // parks the canvas
+    state.ResumeTiming();
+    lease = pool.Acquire(tile.width, tile.height);
+    benchmark::DoNotOptimize(lease->data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["dirty_share"] =
+      static_cast<double>(dirty) / static_cast<double>(lease->num_strips());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lease->size_bytes()));
+}
+BENCHMARK(BM_CanvasReacquire)
+    ->ArgNames({"accurate", "strips"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -1,33 +1,17 @@
 #include "geometry/pip.h"
 
-#include <atomic>
-
 #include "geometry/segment.h"
 
 namespace rj {
 
 namespace {
-std::atomic<std::size_t> g_pip_tests{0};
 thread_local std::size_t t_pip_tests = 0;
 }  // namespace
 
-void ResetPipTestCounter() { g_pip_tests.store(0, std::memory_order_relaxed); }
-
-std::size_t GetPipTestCount() {
-  return g_pip_tests.load(std::memory_order_relaxed);
-}
-
 std::size_t GetThreadPipTestCount() { return t_pip_tests; }
 
-namespace internal {
-void IncrementPipCounter() {
-  g_pip_tests.fetch_add(1, std::memory_order_relaxed);
-  ++t_pip_tests;
-}
-}  // namespace internal
-
 PipResult TestPointInRing(const Ring& ring, const Point& p) {
-  internal::IncrementPipCounter();
+  ++t_pip_tests;
   const std::size_t n = ring.size();
   if (n < 3) return PipResult::kOutside;
 

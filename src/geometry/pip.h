@@ -8,6 +8,7 @@
 /// index joins, and the brute-force reference return bit-identical results.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "geometry/point.h"
@@ -27,20 +28,12 @@ inline bool RingContains(const Ring& ring, const Point& p) {
   return TestPointInRing(ring, p) != PipResult::kOutside;
 }
 
-/// Global counter of PIP tests executed (work-proportional metric used by
-/// the benches; see DESIGN.md §2). Thread-safe.
-void ResetPipTestCounter();
-std::size_t GetPipTestCount();
-
-/// This thread's PIP-test count. Per-query metering windows must use this
-/// (before/after on the executing thread, plus per-worker deltas inside
-/// parallel regions): a window over the *global* counter absorbs every
-/// concurrent query's tests, double-counting them into the shared device
-/// counters under QueryService traffic.
+/// This thread's count of PIP tests executed (the work-proportional
+/// metric; see DESIGN.md §2). Per-query metering windows take it before
+/// and after on the executing thread, plus per-worker deltas inside
+/// parallel regions, and add the difference to the device's `pip_tests`
+/// counter. A thread-local count keeps concurrent queries out of each
+/// other's windows and keeps ring tests off a shared cache line.
 std::size_t GetThreadPipTestCount();
-
-namespace internal {
-void IncrementPipCounter();
-}  // namespace internal
 
 }  // namespace rj

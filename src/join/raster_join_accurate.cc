@@ -134,7 +134,7 @@ Result<FusedJoinOutput> FusedAccurateRasterJoin(
                                      const auto& emit_interior,
                                      std::uint64_t* interior,
                                      std::uint64_t* boundary) {
-      raster::PointFrag frags[raster::kVertexBlockRows] = {};
+      raster::PointFrag frags[raster::kVertexBlockRows];
       std::vector<std::size_t> contained;
       for (std::size_t b = begin; b < end; b += raster::kVertexBlockRows) {
         const std::size_t count =

@@ -7,7 +7,6 @@
 #include "data/point_table.h"
 #include "geometry/pip.h"
 #include "raster/pipeline.h"
-#include "raster/rasterizer.h"
 
 namespace rj {
 
@@ -34,19 +33,23 @@ Result<CostModelParams> CalibrateCostModel(gpu::Device* device) {
     params.per_point_draw = t.ElapsedSeconds() / kPoints;
   }
 
-  // --- per-fragment cost: rasterize large triangles. ---------------------
-  // CountTriangleFragments runs the span walk the polygon pass uses, so
-  // per_fragment prices a fragment at the walk's cost (no per-pixel test
-  // outside each row's edge span).
+  // --- per-fragment cost: shade large triangles. -----------------------
+  // The polygon pass meters a row's covered interval whole but reads only
+  // its pixels in dirty strips of the point canvas; with every strip dirty
+  // each fragment is read, so per_fragment prices a shaded fragment.
   {
     constexpr std::int32_t kDim = 1024;
+    raster::Viewport vp(BBox(0, 0, kDim, kDim), kDim, kDim);
+    raster::Fbo canvas(kDim, kDim);
+    canvas.mutable_data();  // marks every strip dirty
+    const Point a{1.0, 1.0}, b{kDim - 1.0, 2.0}, c{kDim / 2.0, kDim - 1.0};
+    const TriangleSoup soup(4, Triangle{a, b, c, 0});
+    raster::ResultArrays result(1);
+    gpu::Counters counters;
     Timer t;
-    std::uint64_t fragments = 0;
-    for (int rep = 0; rep < 4; ++rep) {
-      fragments += raster::CountTriangleFragments(
-          {1.0, 1.0}, {kDim - 1.0, 2.0}, {kDim / 2.0, kDim - 1.0}, kDim,
-          kDim);
-    }
+    raster::DrawPolygons(vp, soup, canvas, /*boundary_fbo=*/nullptr, &result,
+                         &counters);
+    const std::uint64_t fragments = counters.fragments();
     if (fragments == 0) return Status::Internal("calibration shaded nothing");
     params.per_fragment = t.ElapsedSeconds() / static_cast<double>(fragments);
   }

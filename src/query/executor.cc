@@ -23,8 +23,8 @@ namespace {
 /// integer-weight regime, the accumulated FBO is bitwise identical to the
 /// one a single shard would have produced from the whole point stream.
 void AccumulateFbo(raster::Fbo* dst, const raster::Fbo& src) {
-  std::vector<float>& d = dst->mutable_data();
-  const std::vector<float>& s = src.data();
+  raster::Fbo::Pixels& d = dst->mutable_data();
+  const raster::Fbo::Pixels& s = src.data();
   for (std::size_t i = 0; i < d.size(); ++i) {
     switch (static_cast<int>(i % raster::kChannels)) {
       case raster::kChannelMin:

@@ -33,7 +33,8 @@ FboLease FboPool::Acquire(std::int32_t width, std::int32_t height) {
     }
     if (reused == nullptr) ++misses_;
   }
-  // The multi-MB clear / construction happens outside the lock.
+  // The clear (of the dirty strips) or construction happens outside the
+  // lock.
   if (reused != nullptr) {
     reused->Clear();
     return FboLease(this, std::move(reused));

@@ -7,7 +7,10 @@
 /// dispatch lands on a different thread, so glibc's per-thread malloc
 /// arenas re-fault the canvas pages on every query. The pool keeps
 /// released canvases (keyed by exact dimensions) and hands them back
-/// cleared, so steady-state queries touch warm, resident memory.
+/// cleared, so steady-state queries touch warm, resident memory. The clear
+/// rewrites only the canvas's dirty strips (Fbo::Clear): a shard's point
+/// pass touches a few strips of a canvas sized for the whole query, so a
+/// reacquired canvas costs what the last lease wrote, not its size.
 ///
 /// Thread-safe. Leases are move-only RAII handles; destruction returns the
 /// canvas to the pool. The pool caps retained bytes and evicts the least
@@ -63,9 +66,10 @@ class FboPool {
   explicit FboPool(std::size_t max_retained_bytes = 256ull << 20)
       : max_retained_bytes_(max_retained_bytes) {}
 
-  /// A cleared width × height canvas — reused when one of the exact
-  /// dimensions is parked, freshly constructed otherwise. Discarding the
-  /// lease immediately parks the canvas again, so the call is pointless.
+  /// A cleared width × height canvas, every strip clean — reused (with
+  /// only its dirty strips cleared) when one of the exact dimensions is
+  /// parked, freshly constructed otherwise. Discarding the lease
+  /// immediately parks the canvas again, so the call is pointless.
   [[nodiscard]] FboLease Acquire(std::int32_t width, std::int32_t height)
       RJ_EXCLUDES(mutex_);
 

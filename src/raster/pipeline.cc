@@ -84,12 +84,10 @@ PointPass::PointPass(const Viewport& vp, const data::BlockView& rows,
          std::numeric_limits<std::uint32_t>::max());
   assert(rows.size <= std::numeric_limits<std::uint32_t>::max());
   weights_.resize(m);
-  canvases_.resize(m);
   for (std::size_t t = 0; t < m; ++t) {
     weights_[t] = targets[t].weight_column != PointTable::npos
                       ? rows.attribute(targets[t].weight_column)
                       : nullptr;
-    canvases_[t] = targets[t].fbo->mutable_data().data();
     all_rows_ = all_rows_ || targets[t].filters->empty();
   }
   if (m > 1) {
@@ -127,8 +125,10 @@ std::size_t PointPass::Vertex(std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   assert(n <= kVertexBlockRows);
   const std::size_t m = targets_.size();
-  // keep[i]: some target accepts row begin + i.
-  std::uint8_t keep[kVertexBlockRows] = {};
+  // keep[i]: some target accepts row begin + i. Rows [0, n) are written
+  // before they are read (by the filters or the match copy), or never read
+  // (all_rows_), so none is zero-filled.
+  std::uint8_t keep[kVertexBlockRows];
   for (std::size_t t = 0; t < m; ++t) {
     const FilterSet& filters = *targets_[t].filters;
     std::uint8_t* mask =
@@ -148,13 +148,33 @@ std::size_t PointPass::Vertex(std::size_t begin, std::size_t end,
     }
   }
   // Selection vector of the accepted rows, branch-free.
-  std::uint16_t sel[kVertexBlockRows] = {};
+  std::uint16_t sel[kVertexBlockRows];
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     sel[count] = static_cast<std::uint16_t>(i);
     count += keep[i];
   }
   return Transform<false>(sel, count, begin, out);
+}
+
+std::uint64_t PointPass::BlendRun(std::size_t t, const FragRun& run,
+                                  std::uint32_t lo, std::uint32_t span) const {
+  Fbo& fbo = *targets_[t].fbo;
+  float* const canvas = fbo.unmarked_data();
+  const float* const weights = weights_[t];
+  const std::uint8_t* const match =
+      match_ != nullptr ? match_ + t * rows_.size : nullptr;
+  std::uint64_t blended = 0;
+  for (std::size_t k = 0; k < run.size; ++k) {
+    const PointFrag f = run.frags[k];
+    if (f.pixel - lo >= span || (match != nullptr && match[f.row] == 0)) {
+      continue;
+    }
+    BlendPixel(canvas, weights, f);
+    fbo.MarkDirty(f.pixel);
+    ++blended;
+  }
+  return blended;
 }
 
 void PointPass::BlendRuns(const std::vector<FragRun>& runs, ThreadPool* pool,
@@ -175,14 +195,7 @@ void PointPass::BlendRuns(const std::vector<FragRun>& runs, ThreadPool* pool,
       const std::uint32_t span = hi - lo;
       for (std::size_t t = 0; t < m; ++t) {
         std::uint64_t blended = 0;
-        for (const FragRun& run : runs) {
-          for (std::size_t k = 0; k < run.size; ++k) {
-            const PointFrag& f = run.frags[k];
-            if (f.pixel - lo >= span || !Matches(t, f)) continue;
-            Blend(t, f);
-            ++blended;
-          }
-        }
+        for (const FragRun& run : runs) blended += BlendRun(t, run, lo, span);
         band_drawn[b * m + t] = blended;
       }
     }
@@ -200,18 +213,13 @@ std::vector<std::uint64_t> PointPass::Draw(ThreadPool* pool) const {
   const std::size_t num_chunks = pool != nullptr ? pool->NumChunks(n) : 1;
   if (num_chunks <= 1) {
     // One worker: each sub-block's fragments are blended while cache-hot.
-    PointFrag frags[kVertexBlockRows] = {};
+    PointFrag frags[kVertexBlockRows];
     for (std::size_t begin = 0; begin < n; begin += kVertexBlockRows) {
       const std::size_t count =
           Vertex(begin, std::min(n, begin + kVertexBlockRows), frags);
       for (std::size_t t = 0; t < m; ++t) {
-        std::uint64_t blended = 0;
-        for (std::size_t k = 0; k < count; ++k) {
-          if (!Matches(t, frags[k])) continue;
-          Blend(t, frags[k]);
-          ++blended;
-        }
-        drawn[t] += blended;
+        drawn[t] += BlendRun(t, FragRun{frags, count}, 0,
+                             std::numeric_limits<std::uint32_t>::max());
       }
     }
     return drawn;
@@ -301,7 +309,11 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
   // Shades one triangle into `acc`, metering into `meter`. Its polygon's
   // accumulators live in locals for the whole scan: loaded once, added in
   // fragment order, stored once — the very additions, in the very order,
-  // of adding into `acc` per fragment.
+  // of adding into `acc` per fragment. A row's covered interval is metered
+  // whole; only its pixels in dirty strips can hold a point, and only they
+  // are read.
+  const float* const pixels = point_fbo.data().data();
+  const auto width = static_cast<std::size_t>(point_fbo.width());
   const auto shade = [&](const Triangle& tri, ResultArrays* acc,
                          Meter* meter) {
     const std::size_t id = static_cast<std::size_t>(tri.polygon_id);
@@ -311,25 +323,37 @@ void DrawPolygons(const Viewport& vp, const TriangleSoup& soup,
     double max = min_max_tracked ? acc->max[id] : 0.0;
     std::uint64_t fragments = 0;
     std::uint64_t atomics = 0;
-    RasterizeTriangle(
+    const auto shade_pixels = [&](std::size_t first, std::size_t end) {
+      for (std::size_t p = first; p < end; ++p) {
+        if (boundary_fbo != nullptr &&
+            IsBoundaryPixel(*boundary_fbo, static_cast<std::uint32_t>(p))) {
+          // Accurate variant: boundary pixels were handled point-by-point.
+          continue;
+        }
+        const float* px = pixels + p * kChannels;
+        if (px[kChannelCount] == 0.0f) continue;  // empty pixel
+        count += px[kChannelCount];
+        sum += px[kChannelSum];
+        if (min_max_tracked) {
+          min = std::min(min, static_cast<double>(px[kChannelMin]));
+          max = std::max(max, static_cast<double>(px[kChannelMax]));
+        }
+        ++atomics;
+      }
+    };
+    RasterizeTriangleSpans(
         vp.ToScreen(tri.a), vp.ToScreen(tri.b), vp.ToScreen(tri.c), clip,
-        [&](std::int32_t x, std::int32_t y) {
-          ++fragments;
-          if (boundary_fbo != nullptr && IsBoundaryPixel(*boundary_fbo, x, y)) {
-            // Accurate variant: boundary pixels were handled point-by-point.
-            return;
+        [&](std::int32_t y, std::int32_t x_first, std::int32_t x_last) {
+          fragments += static_cast<std::uint64_t>(x_last - x_first) + 1;
+          const std::size_t row = static_cast<std::size_t>(y) * width;
+          const std::size_t first = row + static_cast<std::size_t>(x_first);
+          const std::size_t end = row + static_cast<std::size_t>(x_last) + 1;
+          for (std::size_t s = first >> kStripShift;
+               s <= (end - 1) >> kStripShift; ++s) {
+            if (!point_fbo.StripDirty(s)) continue;
+            shade_pixels(std::max(first, s << kStripShift),
+                         std::min(end, (s + 1) << kStripShift));
           }
-          const float cnt = point_fbo.At(x, y, kChannelCount);
-          if (cnt == 0.0f) return;  // empty pixel, nothing to accumulate
-          count += cnt;
-          sum += point_fbo.At(x, y, kChannelSum);
-          if (min_max_tracked) {
-            min = std::min(
-                min, static_cast<double>(point_fbo.At(x, y, kChannelMin)));
-            max = std::max(
-                max, static_cast<double>(point_fbo.At(x, y, kChannelMax)));
-          }
-          ++atomics;
         });
     acc->count[id] = count;
     acc->sum[id] = sum;

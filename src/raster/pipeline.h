@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/default_init_allocator.h"
 #include "common/thread_pool.h"
 #include "data/point_block_source.h"
 #include "data/point_table.h"
@@ -78,10 +79,11 @@ struct MultiTarget {
 
 /// Storage a point pass reuses from one call to the next: the flat
 /// fragment buffer of the parallel fragment stage and, for more than one
-/// target, the per-target match bytes.
+/// target, the per-target match bytes. Both are written before they are
+/// read, so growing them leaves the new elements uninitialised.
 struct PointPassBuffers {
-  std::vector<PointFrag> frags;
-  std::vector<std::uint8_t> match;
+  UninitVector<PointFrag> frags;
+  UninitVector<std::uint8_t> match;
 };
 
 /// The point pass over one view of rows, split into the paper's two shader
@@ -137,16 +139,12 @@ class PointPass {
 
   /// Fragment stage of target `t`: count += 1 and, with a weight column,
   /// sum += w, min = min(min, w), max = max(max, w) — Fbo::Add,
-  /// Fbo::BlendMin and Fbo::BlendMax at the fragment's pixel.
+  /// Fbo::BlendMin and Fbo::BlendMax at the fragment's pixel, whose strip
+  /// it marks dirty.
   void Blend(std::size_t t, const PointFrag& f) const {
-    float* px = canvases_[t] + std::size_t{f.pixel} * kChannels;
-    px[kChannelCount] += 1.0f;
-    if (const float* w = weights_[t]; w != nullptr) {
-      const float v = w[f.row];
-      px[kChannelSum] += v;
-      if (v < px[kChannelMin]) px[kChannelMin] = v;
-      if (v > px[kChannelMax]) px[kChannelMax] = v;
-    }
+    Fbo& fbo = *targets_[t].fbo;
+    BlendPixel(fbo.unmarked_data(), weights_[t], f);
+    fbo.MarkDirty(f.pixel);
   }
 
   /// Parallel fragment stage: each row band's owner, one per worker of
@@ -160,6 +158,25 @@ class PointPass {
   std::vector<std::uint64_t> Draw(ThreadPool* pool) const;
 
  private:
+  static void BlendPixel(float* canvas, const float* weights,
+                         const PointFrag& f) {
+    float* px = canvas + std::size_t{f.pixel} * kChannels;
+    px[kChannelCount] += 1.0f;
+    if (weights != nullptr) {
+      const float v = weights[f.row];
+      px[kChannelSum] += v;
+      if (v < px[kChannelMin]) px[kChannelMin] = v;
+      if (v > px[kChannelMax]) px[kChannelMax] = v;
+    }
+  }
+
+  /// Blend for target `t` over the fragments of `run` the target accepts
+  /// whose pixel lies in [lo, lo + span); returns their count. The
+  /// target's pointers live in locals, so the strip marks (byte stores,
+  /// which may alias anything) do not make the loop reload them.
+  std::uint64_t BlendRun(std::size_t t, const FragRun& run, std::uint32_t lo,
+                         std::uint32_t span) const;
+
   template <bool kAllRows>
   std::size_t Transform(const std::uint16_t* sel, std::size_t count,
                         std::size_t begin, PointFrag* out) const;
@@ -169,7 +186,6 @@ class PointPass {
   const std::vector<MultiTarget>& targets_;
   PointPassBuffers* buffers_;
   std::vector<const float*> weights_;  ///< per target; null = COUNT only
-  std::vector<float*> canvases_;       ///< per target FBO storage
   std::uint8_t* match_ = nullptr;      ///< targets × rows; null for one
   bool all_rows_ = false;              ///< some target has no filters
 };
@@ -196,6 +212,12 @@ std::vector<std::uint64_t> DrawPointsMulti(
 /// pixel with a non-zero count changes no result bit: an empty pixel adds
 /// nothing. The joins pass the pixels their point scan can have touched
 /// (ScanBounds), so the pass costs the scanned region, not the canvas.
+///
+/// Each triangle row is one covered interval (RasterizeTriangleSpans): the
+/// whole interval is metered as fragments, and only its pixels in dirty
+/// strips of `point_fbo` are shaded — a clean strip's pixels hold a count
+/// of 0 and add nothing, so results, `fragments` and `atomic_adds` equal a
+/// pass that shades every covered pixel.
 ///
 /// When `pool` has more than one worker, triangles are split across
 /// workers, each accumulating into a private ResultArrays + gpu::Counters

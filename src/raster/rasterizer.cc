@@ -9,8 +9,11 @@ std::uint64_t CountTriangleFragments(const Point& a, const Point& b,
                                      const Point& c, std::int32_t width,
                                      std::int32_t height) {
   std::uint64_t count = 0;
-  RasterizeTriangle(a, b, c, width, height,
-                    [&count](std::int32_t, std::int32_t) { ++count; });
+  RasterizeTriangleSpans(
+      a, b, c, PixelRect{0, 0, width, height},
+      [&count](std::int32_t, std::int32_t x_first, std::int32_t x_last) {
+        count += static_cast<std::uint64_t>(x_last - x_first) + 1;
+      });
   return count;
 }
 

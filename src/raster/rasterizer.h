@@ -80,18 +80,28 @@ inline void NarrowSpan(const Point& p, const Point& q, double sy,
 
 }  // namespace detail
 
-/// Rasterizes a triangle given in *screen* coordinates, invoking
-/// `emit(x, y)` once per covered pixel inside `clip` — rows bottom to top,
-/// pixels left to right. Degenerate (zero-area) triangles emit nothing.
+/// Scan-converts a triangle given in *screen* coordinates row by row,
+/// bottom to top: invokes `span(y, x_first, x_last)` once per row with a
+/// covered pixel inside `clip`, where [x_first, x_last] are exactly that
+/// row's covered pixels inside `clip`. Degenerate (zero-area) triangles
+/// cover nothing.
 ///
-/// Each row is walked only over the span its three edge equations allow
-/// (NarrowSpan, widened for rounding); every pixel of the span is then
-/// decided by the edge-function and top-left test, so the emitted set and
-/// order are exactly those of a test over the whole bounding box, and a
-/// clipped scan emits exactly the full scan's pixels inside `clip`.
+/// The covered pixels of a row are contiguous. On row center sy, the
+/// computed edge function of edge (p, q),
+///   E(sx) = fl(fl(dx·fl(sy - p.y)) - fl(dy·fl(sx - p.x))),
+/// is monotone in sx: each rounding step is monotone, so E is
+/// non-increasing when dy > 0, non-decreasing when dy < 0 and constant when
+/// dy = 0 (contracting the products into fused multiply-adds rounds fewer
+/// times and keeps this). An edge accepts a sample when E > 0, or E = 0 on
+/// a top-left edge — a threshold on E — so each edge accepts a prefix, a
+/// suffix, all or none of the row, and the three edges together one
+/// interval. NarrowSpan bounds the row to a superset of it (widened for
+/// rounding); the edge test then runs inward from both ends of that range
+/// and stops at the interval's two ends, so it runs on a few pixels per
+/// row, not on every covered pixel.
 template <typename Fn>
-void RasterizeTriangle(Point a, Point b, Point c, const PixelRect& clip,
-                       Fn&& emit) {
+void RasterizeTriangleSpans(Point a, Point b, Point c, const PixelRect& clip,
+                            Fn&& span) {
   // Orient CCW; reject degenerates.
   const double area2 = Orient2D(a, b, c);
   if (area2 == 0.0) return;
@@ -134,22 +144,42 @@ void RasterizeTriangle(Point a, Point b, Point c, const PixelRect& clip,
     detail::NarrowSpan(b, c, sy, sx_magnitude, &lo, &hi);
     detail::NarrowSpan(c, a, sy, sx_magnitude, &lo, &hi);
     if (lo > hi) continue;
-    const auto span_end = static_cast<std::int32_t>(hi);
-    for (auto x = static_cast<std::int32_t>(lo); x <= span_end; ++x) {
+    // Inside when all edge functions are positive; a zero edge function
+    // means the center lies exactly on that edge — covered only if the
+    // edge is top-left (fill convention, prevents double counting on
+    // shared edges of a triangulation).
+    const auto covered = [&](std::int32_t x) {
       const double sx = x + 0.5;
       const double w0 = detail::EdgeFunction(a, b, sx, sy);
       const double w1 = detail::EdgeFunction(b, c, sx, sy);
       const double w2 = detail::EdgeFunction(c, a, sx, sy);
-      // Inside when all edge functions positive; a zero edge function means
-      // the center lies exactly on that edge — covered only if the edge is
-      // top-left (fill convention, prevents double counting on shared
-      // edges of a triangulation).
-      const bool in0 = w0 > 0.0 || (w0 == 0.0 && tl_ab);
-      const bool in1 = w1 > 0.0 || (w1 == 0.0 && tl_bc);
-      const bool in2 = w2 > 0.0 || (w2 == 0.0 && tl_ca);
-      if (in0 && in1 && in2) emit(x, y);
-    }
+      return (w0 > 0.0 || (w0 == 0.0 && tl_ab)) &&
+             (w1 > 0.0 || (w1 == 0.0 && tl_bc)) &&
+             (w2 > 0.0 || (w2 == 0.0 && tl_ca));
+    };
+    auto first = static_cast<std::int32_t>(lo);
+    auto last = static_cast<std::int32_t>(hi);
+    while (first <= last && !covered(first)) ++first;
+    if (first > last) continue;
+    while (!covered(last)) --last;
+    span(y, first, last);
   }
+}
+
+/// Rasterizes a triangle given in *screen* coordinates, invoking
+/// `emit(x, y)` once per covered pixel inside `clip` — rows bottom to top,
+/// pixels left to right: RasterizeTriangleSpans, pixel by pixel. The
+/// emitted set and order are exactly those of the edge-function and
+/// top-left test over the whole bounding box, and a clipped scan emits
+/// exactly the full scan's pixels inside `clip`.
+template <typename Fn>
+void RasterizeTriangle(const Point& a, const Point& b, const Point& c,
+                       const PixelRect& clip, Fn&& emit) {
+  RasterizeTriangleSpans(
+      a, b, c, clip,
+      [&emit](std::int32_t y, std::int32_t x_first, std::int32_t x_last) {
+        for (std::int32_t x = x_first; x <= x_last; ++x) emit(x, y);
+      });
 }
 
 /// RasterizeTriangle over a whole width×height canvas.
@@ -160,8 +190,8 @@ void RasterizeTriangle(const Point& a, const Point& b, const Point& c,
                     std::forward<Fn>(emit));
 }
 
-/// Number of pixels RasterizeTriangle would emit (cheap counting variant
-/// for counters / tests).
+/// Number of pixels RasterizeTriangle would emit: the sum of the span
+/// lengths (cheap counting variant for counters / tests).
 std::uint64_t CountTriangleFragments(const Point& a, const Point& b,
                                      const Point& c, std::int32_t width,
                                      std::int32_t height);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/rng.h"
 #include "geometry/polygon.h"
@@ -56,13 +57,14 @@ TEST(PipTest, OrientationIndependent) {
 }
 
 TEST(PipTest, CounterTracksCalls) {
-  ResetPipTestCounter();
-  EXPECT_EQ(GetPipTestCount(), 0u);
+  const std::size_t before = GetThreadPipTestCount();
+  EXPECT_EQ(GetThreadPipTestCount() - before, 0u);
   TestPointInRing(UnitSquare(), {0.5, 0.5});
   TestPointInRing(UnitSquare(), {0.5, 0.5});
-  EXPECT_EQ(GetPipTestCount(), 2u);
-  ResetPipTestCounter();
-  EXPECT_EQ(GetPipTestCount(), 0u);
+  EXPECT_EQ(GetThreadPipTestCount() - before, 2u);
+  // Another thread's tests stay out of this thread's count.
+  std::thread([] { TestPointInRing(UnitSquare(), {0.5, 0.5}); }).join();
+  EXPECT_EQ(GetThreadPipTestCount() - before, 2u);
 }
 
 TEST(PipPropertyTest, CrossingAgreesWithDistanceSign) {

@@ -266,15 +266,18 @@ TEST(BoundedRasterJoinTest, EmptyPointsYieldZeros) {
 
 TEST(BoundedRasterJoinTest, ZeroPipTestsExecuted) {
   // The headline property: the bounded variant never runs a PIP test.
+  // MakeDevice's one worker runs the join on this thread, so this
+  // thread's counter sees every test it could run.
   JoinSetup s = MakeSetup(6, 5000, 11);
-  ResetPipTestCounter();
+  const std::size_t pips_before = GetThreadPipTestCount();
   gpu::Device device = MakeDevice();
   BoundedRasterJoinOptions options;
   options.epsilon = 10.0;
   auto result = BoundedRasterJoin(&device, s.points, s.polys, s.soup,
                                   s.world, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(GetPipTestCount(), 0u);
+  EXPECT_EQ(GetThreadPipTestCount() - pips_before, 0u);
+  EXPECT_EQ(device.counters().pip_tests(), 0u);
 }
 
 }  // namespace

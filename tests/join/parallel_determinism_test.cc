@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -19,6 +21,7 @@
 #include "gpu/device.h"
 #include "join/raster_join_accurate.h"
 #include "join/raster_join_bounded.h"
+#include "raster/fbo_pool.h"
 #include "raster/pipeline.h"
 #include "triangulate/triangulation.h"
 
@@ -247,6 +250,57 @@ TEST(ParallelDeterminismTest, DrawPolygonsCountersMatch) {
   EXPECT_EQ(seq_counters.fragments(), par_counters.fragments());
   EXPECT_EQ(seq_counters.atomic_adds(), par_counters.atomic_adds());
   EXPECT_EQ(seq_counters.vertices(), par_counters.vertices());
+}
+
+/// A canvas reacquired from the shared pool equals a fresh one bitwise and
+/// has every strip clean: the pool cleared just the strips the join's
+/// point pass dirtied, so no pixel the pass wrote escaped its strip marks.
+void ExpectReacquiredCanvasIsFresh(std::int32_t width, std::int32_t height) {
+  raster::FboLease lease = raster::FboPool::Shared().Acquire(width, height);
+  const raster::Fbo fresh(width, height);
+  ASSERT_EQ(lease->size_bytes(), fresh.size_bytes());
+  EXPECT_EQ(0, std::memcmp(lease->data().data(), fresh.data().data(),
+                           fresh.size_bytes()));
+  for (std::size_t strip = 0; strip < lease->num_strips(); ++strip) {
+    ASSERT_FALSE(lease->StripDirty(strip)) << "strip " << strip;
+  }
+}
+
+// Few points per strip in both cases, so a written pixel whose strip
+// stayed unmarked would survive the clear.
+TEST(CanvasReacquireTest, BoundedJoinCanvasReacquiredEqualsFresh) {
+  JoinSetup s = MakeSetup(10, 300, 16);
+  BoundedRasterJoinOptions options;
+  options.epsilon = 7.0;  // a canvas side that is no multiple of 64
+  options.weight_column = 0;
+  options.batch_size = 64;
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    gpu::Device device = MakeDevice(workers);
+    std::optional<raster::Fbo> drawn;
+    auto r = BoundedRasterJoin(&device, s.points, s.polys, s.soup, s.world,
+                               options, nullptr, nullptr, &drawn);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(drawn.has_value());
+    ASSERT_NE(drawn->width() % 64, 0);
+    ExpectReacquiredCanvasIsFresh(drawn->width(), drawn->height());
+  }
+}
+
+TEST(CanvasReacquireTest, AccurateJoinCanvasReacquiredEqualsFresh) {
+  JoinSetup s = MakeSetup(8, 600, 17);
+  AccurateRasterJoinOptions options;
+  options.weight_column = 0;
+  options.canvas_dim = 300;
+  options.batch_size = 128;
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    gpu::Device device = MakeDevice(workers);
+    auto r = AccurateRasterJoin(&device, s.points, s.polys, s.soup, s.world,
+                                options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectReacquiredCanvasIsFresh(options.canvas_dim, options.canvas_dim);
+  }
 }
 
 }  // namespace

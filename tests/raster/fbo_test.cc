@@ -20,6 +20,8 @@ TEST(FboTest, StartsClearedToChannelIdentities) {
       EXPECT_EQ(fbo.At(x, y, kChannelMax), -inf);
     }
   }
+  ASSERT_EQ(fbo.num_strips(), 1u);
+  EXPECT_FALSE(fbo.StripDirty(0));
 }
 
 TEST(FboTest, SetAndGetChannels) {

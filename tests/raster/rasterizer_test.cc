@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -336,6 +337,37 @@ TEST(RasterizerSpanTest, SpanWalkMatchesBruteForce) {
           << ")";
     }
     EXPECT_GT(covered, 0u);
+  }
+}
+
+TEST(RasterizerSpanTest, EachRowIsOneIntervalOfTheBruteForcePixels) {
+  // The span walk reports a row's covered pixels as one interval; laid out
+  // pixel by pixel, the intervals are brute force's pixels in its order,
+  // and their lengths sum to CountTriangleFragments.
+  for (const Family& family : Families()) {
+    SCOPED_TRACE(family.name);
+    Rng rng(93);
+    for (int trial = 0; trial < 3000; ++trial) {
+      const std::array<Point, 3> t = family.make(rng);
+      PixelList spans;
+      std::int32_t prev_row = std::numeric_limits<std::int32_t>::min();
+      RasterizeTriangleSpans(
+          t[0], t[1], t[2], PixelRect{0, 0, kCanvas, kCanvas},
+          [&](std::int32_t y, std::int32_t x_first, std::int32_t x_last) {
+            EXPECT_GT(y, prev_row) << "one interval per row, rows ascending";
+            EXPECT_LE(x_first, x_last);
+            prev_row = y;
+            for (std::int32_t x = x_first; x <= x_last; ++x) {
+              spans.emplace_back(x, y);
+            }
+          });
+      ASSERT_EQ(spans, BruteForce(t[0], t[1], t[2], kCanvas, kCanvas))
+          << "trial " << trial << ": (" << t[0].x << "," << t[0].y << ") ("
+          << t[1].x << "," << t[1].y << ") (" << t[2].x << "," << t[2].y
+          << ")";
+      ASSERT_EQ(CountTriangleFragments(t[0], t[1], t[2], kCanvas, kCanvas),
+                spans.size());
+    }
   }
 }
 
